@@ -4,9 +4,10 @@ The batched engines (:mod:`repro.recovery.batched`,
 :mod:`repro.core.encode_batch`, the ECGSYN kernels) are written against
 an abstract namespace ``xp`` plus a handful of operations that plain
 array namespaces do not standardize: Cholesky factor/solve in SciPy's
-``(c, lower)`` form, the first-order IIR recurrence behind the ECG
-exponential integrator, and the ``packbits``/``bincount`` pair the
-coding layer leans on.  :class:`ArrayBackend` bundles the namespace and
+``(c, lower)`` form, the in-place dense-algebra trio of the BSBL E-step
+(``gemm``, ``gram_cholesky``, ``solve_lower``), the first-order IIR
+recurrence behind the ECG exponential integrator, and the
+``packbits``/``bincount`` pair the coding layer leans on.  :class:`ArrayBackend` bundles the namespace and
 those shims behind one object, so adding a GPU or JIT backend is a
 subclass plus a registry entry — no engine code changes.
 
@@ -129,6 +130,52 @@ class ArrayBackend(abc.ABC):
         copy, which backends override when they can do better.
         """
         result = self.xp.linalg.solve(a, b)
+        if out is None:
+            return result
+        out[...] = result
+        return out
+
+    def gemm(self, a: Any, b: Any, out: Any = None) -> Any:
+        """``a @ b`` for 2-D operands, shape ``(a.shape[0], b.shape[1])``.
+
+        The matrix product on the BLAS that :meth:`gram_cholesky` and
+        :meth:`solve_lower` use.  A loop that alternates those
+        factorizations with products should take its products here:
+        backends whose LAPACK shims run on a different BLAS build than
+        the namespace's ``matmul`` (NumPy + SciPy wheels each ship their
+        own OpenBLAS) otherwise make two thread pools contend.  The
+        default is :meth:`matmul`.
+        """
+        return self.matmul(a, b, out=out)
+
+    def gram_cholesky(self, x: Any, shift: float, out: Any = None) -> Any:
+        """Lower Cholesky factor of ``x x^T + shift I``, shape ``(..., m, m)``.
+
+        ``x`` is a stack ``(..., m, n)``; the strict upper triangle of
+        the result is zero.  The default forms the Gram matrix with
+        ``xp.matmul`` and factors it with ``xp.linalg.cholesky``;
+        backends override it with a symmetric rank-k update and an
+        in-place factorization.
+        """
+        xp = self.xp
+        gram = xp.matmul(x, xp.swapaxes(x, -1, -2))
+        gram = gram + shift * xp.eye(gram.shape[-1], dtype=gram.dtype)
+        result = xp.linalg.cholesky(gram)
+        if out is None:
+            return result
+        out[...] = result
+        return out
+
+    def solve_lower(self, l: Any, b: Any, out: Any = None) -> Any:
+        """``L^{-1} B`` for a lower-triangular stack ``l``, shape of ``b``.
+
+        ``l`` is ``(..., m, m)`` and ``b`` a right-hand-side stack
+        ``(..., m, p)``; ``out=`` may be ``b`` itself (substitute in
+        place).  The default is a general batched solve (correct for any
+        namespace, not triangular-fast), which backends override with a
+        triangular substitution.
+        """
+        result = self.xp.linalg.solve(l, b)
         if out is None:
             return result
         out[...] = result

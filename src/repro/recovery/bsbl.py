@@ -19,30 +19,48 @@ posterior mean is the estimate; block scales are learned by the BO
 fixed-point rule, which provably never increases the negative log
 evidence for a fixed ``B`` (the property suite pins this).
 
-**Information form.**  All solvers here iterate in coefficient space on
+**Measurement-space form.**  The posterior is ``N(mu, Σ)`` with
 
 .. math::
 
-    G = A^T R^{-1} A, \\qquad b = A^T R^{-1} y
+    \\Sigma^{-1} = M = \\Gamma^{-1} + G, \\qquad M \\mu = b, \\qquad
+    G = A^T A / \\lambda + \\rho I, \\quad b = A^T y / \\lambda + \\rho c
 
-which stays *fixed across EM iterations* (and, through the operator
-cache, across windows), so each iteration costs one SPD solve against
-``M = \\Gamma^{-1} + G`` with ``mu = M^{-1} b``,
-``\\Sigma = M^{-1}``.  The classical C-space quantities follow from the
-Woodbury identities ``q = b - G mu`` and ``H = G - G \\Sigma G`` (only
-the diagonal blocks of ``H`` are formed), and the evidence via
-``log|C| = log|R| + log|\\Gamma| + log|M|`` and
-``y^T C^{-1} y = y^T R^{-1} y - b^T mu``.
+where ``rho = 0`` for plain BSBL and ``rho c`` is the de-quantization
+channel (below).  With ``m < n`` measurements the EM never forms the
+``n x n`` ``M``; it iterates in measurement space.  One
+``block_len``-square ``eigh`` per iteration gives
+``B = U diag(e) U^T``, so the block-diagonal ``D = Γ^{-1} + rho I``
+inverts blockwise as ``U diag(d_i) U^T`` with
+``d = gamma e / (1 + rho gamma e)``.  Rotating ``A``'s column blocks,
+``Ã = A (I_g ⊗ U)``, turns the Woodbury identity for
+``M = D + A^T A / lambda`` into one ``m x m`` Cholesky factor
+``S = lambda I + Ã diag(d) Ã^T = L L^T``, and with ``Z = L^{-1} Ã``:
+
+* ``mu = D^{-1} (rho c + A^T S^{-1} r)`` with the residual
+  ``r = y - A D^{-1} rho c`` — no ``b - (...)`` cancellation;
+* ``log|M| = -sum log d + log|S| - m log lambda``, from ``diag L``, so
+  the evidence history costs nothing extra;
+* the BO numerator's ``q = b - G mu`` is ``Γ^{-1} mu``, and the
+  denominator ``tr(B H_ii)`` with ``H = Γ^{-1} - Γ^{-1} Σ Γ^{-1}`` is,
+  in ``U`` coordinates, ``sum_j e_j (rho + |z_j|^2 / s_j) / s_j`` with
+  ``s_j = 1 + rho gamma e_j`` — every term nonnegative, where the
+  textbook ``block_len / gamma - tr(Σ_ii B^{-1}) / gamma^2`` cancels
+  catastrophically once ``gamma`` sits at its floor.
+
+Per iteration that is ``O(m^2 n)`` (the Gram of ``Ã diag(sqrt d)`` and
+the triangular solve for ``Z``) plus an ``O(m^3 / 3)`` Cholesky, against
+``O(n^3)`` for a coefficient-space solve.  :func:`measurement_estep` is
+the one E-step kernel: the scalar loop here and the batched engine in
+:mod:`repro.recovery.batched` both call it.
 
 **Bayesian de-quantization.**  The hybrid path's low-res samples pin each
-signal value to a cell of ``d`` acquisition codes.  Instead of Eq. 1's
-hard box, :func:`solve_bsbl_dequant` treats the cell midpoint as a noisy
-observation of the signal with the cell's own quantization-noise variance
-(``(d^2 - 1) / 12`` for a discrete uniform over ``d`` codes).  Because Ψ
-is orthonormal this adds ``I / \\sigma_q^2`` to ``G`` and
-``Ψ^T x_mid / \\sigma_q^2`` to ``b`` — the de-quantizer is the *same*
-EM iteration on an augmented information pair, so both modes share one
-kernel (and one batched twin in :mod:`repro.recovery.batched`).
+signal value to a cell of acquisition codes.  Instead of Eq. 1's hard
+box, :func:`solve_bsbl_dequant` treats the cell midpoint as a noisy
+observation of the signal with the cell's own quantization-noise
+variance ``sigma_q^2`` (see :func:`lowres_cell_stats`).  Because Ψ is
+orthonormal this is the ``rho = 1 / sigma_q^2``, ``c = Ψ^T x_mid``
+channel above — the *same* EM iteration, so both modes share one kernel.
 
 The measurement noise is the CS quantizer's own error,
 ``\\lambda = step^2 / 12`` (see :func:`measurement_noise_var` and the
@@ -56,7 +74,9 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import HOST
 from repro.devtools.contracts import check_finite, check_shape
+from repro.perf import lease_workspace
 from repro.recovery.problem import CsProblem
 from repro.recovery.result import RecoveryResult
 from repro.wavelets.operators import SynthesisBasis
@@ -174,37 +194,19 @@ def lowres_cell_stats(
     return mid, max(var, 1.0 / 12.0)
 
 
-def ar1_blocks(xp: Any, r: Any, block_len: int) -> Tuple[Any, Any, Any]:
-    """AR(1) Toeplitz ``B``, its closed-form inverse and ``log|B|``.
+def ar1_eigh(xp: Any, r: Any, block_len: int) -> Tuple[Any, Any]:
+    """Eigen-decomposition ``B = U diag(e) U^T`` of the AR(1) Toeplitz ``B``.
 
     ``r`` is a stack of correlations, shape ``(k,)``; returns
-    ``(B, B_inv, logdet)`` with shapes ``(k, b, b)``, ``(k, b, b)`` and
-    ``(k,)``.  ``B[i, j] = r^|i-j|`` has the classical tridiagonal
-    inverse ``(1/(1-r^2)) tridiag(-r; 1, 1+r^2, ..., 1+r^2, 1; -r)`` and
-    ``log|B| = (b-1) log(1-r^2)`` — exact, so neither path ever
-    factorizes a ``B``.  Parameterized on the array namespace ``xp`` so
+    ``(e, U)`` with shapes ``(k, b)`` and ``(k, b, b)`` for
+    ``B[i, j] = r^|i-j|``.  ``|r| <= corr_limit < 1`` keeps every
+    eigenvalue positive.  Parameterized on the array namespace ``xp`` so
     the backend-seam batched engine shares the arithmetic.
     """
     r = xp.asarray(r)
-    k = r.shape[0]
-    b = int(block_len)
-    dtype = r.dtype
-    if b == 1:
-        ones = xp.ones((k, 1, 1), dtype=dtype)
-        return ones, ones.copy(), xp.zeros(k, dtype=dtype)
-    idx = xp.arange(b)
+    idx = xp.arange(int(block_len))
     powers = xp.abs(idx[:, None] - idx[None, :])
-    bmat = r[:, None, None] ** powers[None, :, :]
-    denom = 1.0 - r * r
-    binv = xp.zeros((k, b, b), dtype=dtype)
-    binv[:, idx, idx] = (1.0 + r * r)[:, None]
-    binv[:, 0, 0] = 1.0
-    binv[:, b - 1, b - 1] = 1.0
-    binv[:, idx[:-1], idx[1:]] = -r[:, None]
-    binv[:, idx[1:], idx[:-1]] = -r[:, None]
-    binv = binv / denom[:, None, None]
-    logdet = (b - 1) * xp.log(denom)
-    return bmat, binv, logdet
+    return xp.linalg.eigh(r[:, None, None] ** powers[None, :, :])
 
 
 def bo_gamma_factor(xp: Any, num: Any, den: Any) -> Any:
@@ -251,85 +253,153 @@ def initial_gamma(xp: Any, alpha0: Any, k: int, g: int, block_len: int) -> Any:
     return xp.mean(blocks * blocks, axis=2) + 1e-2
 
 
-def _em_information_form(
-    G: np.ndarray,
-    b_vec: np.ndarray,
-    y_quad: float,
-    logdet_r: float,
+def measurement_estep(
+    backend: Any,
+    ws: Any,
+    a: Any,
+    y: Any,
+    rc: Any,
+    noise_var: float,
+    rho: float,
+    gamma: Any,
+    evals: Any,
+    evecs: Any,
+) -> Tuple[Any, Any, Any, Any]:
+    """One measurement-space E-step over a stack of ``k`` windows.
+
+    ``a`` is the ``(m, n)`` operator, ``y`` the ``(k, m)`` measurements,
+    ``rc`` the ``(k, n)`` de-quantization term ``rho c`` (``None`` when
+    ``rho = 0``), ``gamma`` the ``(k, g)`` block scales and
+    ``(evals, evecs)`` each window's :func:`ar1_eigh` of ``B``.  Returns
+    ``(mu, num, den, logdet_s)``: the ``(k, n)`` posterior means, the
+    ``(k, g)`` BO numerators ``q^T B q`` and denominators ``tr(B H_ii)``,
+    and ``log|S|`` per window (see the module docstring for the
+    algebra).  The three ``O(k m n)``/``O(k m^2)`` temporaries come from
+    the workspace ``ws`` and are fully overwritten; ``backend`` supplies
+    the namespace and the dense-algebra shims (``gemm``,
+    ``gram_cholesky``, ``solve_lower``) that run on one BLAS.
+    """
+    xp = backend.xp
+    k, g = gamma.shape
+    m, n = a.shape
+    blen = n // g
+    dtype = a.dtype
+    ge = gamma[:, :, None] * evals[:, None, :]
+    shrink = 1.0 + rho * ge
+    d = (ge / shrink).reshape(k, n)
+
+    # Ã = A (I_g ⊗ U): every column block of A rotated into B's eigenbasis.
+    a_rot = ws.buf("a_rot", (k, m, n), dtype)
+    a_blocks = a.reshape(m * g, blen)
+    for j in range(k):
+        backend.gemm(a_blocks, evecs[j], out=a_rot[j].reshape(m * g, blen))
+    scaled = ws.buf("a_scaled", (k, m, n), dtype)
+    xp.multiply(a_rot, xp.sqrt(d)[:, None, :], out=scaled)
+    chol = backend.gram_cholesky(
+        scaled, noise_var, out=ws.buf("chol", (k, m, m), dtype)
+    )
+    diag = xp.arange(m)
+    logdet_s = 2.0 * xp.sum(xp.log(chol[:, diag, diag]), axis=1)
+
+    resid = y
+    if rc is not None:
+        rc_rot = backend.matmul(rc.reshape(k, g, blen), evecs).reshape(k, n)
+        resid = y - backend.matmul(a_rot, (d * rc_rot)[:, :, None])[:, :, 0]
+    u = backend.solve_lower(chol, resid[:, :, None])
+    z = backend.solve_lower(chol, a_rot, out=a_rot)
+    w = backend.matmul(xp.swapaxes(u, 1, 2), z)[:, 0, :]
+    if rc is not None:
+        w = w + rc_rot
+    mu = backend.matmul(
+        (d * w).reshape(k, g, blen), xp.swapaxes(evecs, 1, 2)
+    ).reshape(k, n)
+
+    q_rot = w.reshape(k, g, blen) / shrink
+    colsq = xp.sum(xp.multiply(z, z, out=scaled), axis=1).reshape(k, g, blen)
+    e = evals[:, None, :]
+    num = xp.sum(e * q_rot * q_rot, axis=2)
+    den = xp.sum(e * (rho + colsq / shrink) / shrink, axis=2)
+    return mu, num, den, logdet_s
+
+
+def _em_measurement_form(
+    problem: CsProblem,
+    y: np.ndarray,
+    noise_var: float,
     settings: BsblSettings,
     alpha0: Optional[np.ndarray],
+    x_mid: Optional[np.ndarray] = None,
+    quant_var: Optional[float] = None,
 ) -> Tuple[np.ndarray, int, bool, list]:
-    """The scalar BSBL-BO loop on one information pair ``(G, b)``.
+    """The scalar BSBL-BO loop; ``x_mid``/``quant_var`` add de-quantization.
 
     Returns ``(mu, iterations, converged, objective_history)`` where the
-    history holds the negative log evidence *before* each gamma update —
+    history holds the negative log evidence
+    ``log|C| + y^T C^{-1} y`` *before* each gamma update —
     non-increasing for fixed ``B`` (``learn_correlation=False``).  This
     is the differential oracle for the batched engine: the batched loop
     in :mod:`repro.recovery.batched` repeats this arithmetic
     column-for-column (minus the evidence bookkeeping).
     """
-    n = G.shape[0]
+    n = problem.n
     blen = settings.block_len
     g = settings.blocks_for(n)
-    idx = np.arange(g)
-    gdiag = G.reshape(g, blen, g, blen)[idx, :, idx, :]
+    b_vec = problem.adjoint(y) / noise_var
+    y_quad = float(y @ y) / noise_var
+    rho, rc, logdet_q = 0.0, None, 0.0
+    if x_mid is not None:
+        rho = 1.0 / quant_var
+        rc = problem.basis.analyze(x_mid) / quant_var
+        b_vec = b_vec + rc
+        y_quad += float(x_mid @ x_mid) / quant_var
+        logdet_q = n * float(np.log(quant_var))
     gamma = initial_gamma(
         np, None if alpha0 is None else alpha0[:, None], 1, g, blen
-    )[0]
+    )
     r = 0.0
     mu = np.zeros(n)
     history: list = []
     iterations = 0
     converged = False
 
-    for it in range(1, settings.max_iter + 1):
-        iterations = it
-        bmat, binv, logdet_b = ar1_blocks(np, np.array([r]), blen)
-        m_mat = G.copy()
-        mview = m_mat.reshape(g, blen, g, blen)
-        mview[idx, :, idx, :] += binv[0][None, :, :] / gamma[:, None, None]
-
-        rhs = np.concatenate([b_vec[:, None], G], axis=1)
-        sol = np.linalg.solve(m_mat, rhs)
-        mu_new = sol[:, 0]
-        w_mat = sol[:, 1:]
-
-        _, logdet_m = np.linalg.slogdet(m_mat)
-        logdet_gamma = blen * float(np.sum(np.log(gamma))) + g * float(logdet_b[0])
-        history.append(
-            logdet_r
-            + logdet_gamma
-            + float(logdet_m)
-            + y_quad
-            - float(b_vec @ mu_new)
-        )
-
-        q = b_vec - G @ mu_new
-        qb = q.reshape(g, blen)
-        num = np.einsum("gb,bc,gc->g", qb, bmat[0], qb)
-        gw = np.einsum("ibn,nie->ibe", G.reshape(g, blen, n), w_mat.reshape(n, g, blen))
-        den = np.einsum("bc,gcb->g", bmat[0], gdiag - gw)
-        gamma_prev = gamma
-        gamma = np.maximum(
-            gamma * bo_gamma_factor(np, num, den), settings.gamma_floor
-        )
-
-        change = float(np.linalg.norm(mu_new - mu))
-        scale = max(float(np.linalg.norm(mu_new)), 1e-12)
-        mu = mu_new
-        if change <= settings.tol * scale:
-            converged = True
-            break
-
-        if settings.learn_correlation and blen > 1:
-            r = float(
-                ar1_estimate(
-                    np,
-                    mu.reshape(1, g, blen),
-                    gamma_prev[None, :],
-                    settings.corr_limit,
-                )[0]
+    with lease_workspace(None, f"bsbl:{n}:b{blen}") as ws:
+        for it in range(1, settings.max_iter + 1):
+            iterations = it
+            evals, evecs = ar1_eigh(np, np.array([r]), blen)
+            mu_new, num, den, logdet_s = measurement_estep(
+                HOST, ws, problem.a, y[None, :],
+                None if rc is None else rc[None, :],
+                noise_var, rho, gamma, evals, evecs,
             )
+            mu_new = mu_new[0]
+            # log|C| = log|R| + log|Γ| + log|M|, which the Woodbury
+            # determinant lemma collapses to the terms below.
+            logdet_c = (
+                logdet_q
+                + float(np.sum(np.log1p(rho * gamma[0][:, None] * evals[0])))
+                + float(logdet_s[0])
+            )
+            history.append(logdet_c + y_quad - float(b_vec @ mu_new))
+
+            gamma_prev = gamma
+            gamma = np.maximum(
+                gamma * bo_gamma_factor(np, num, den), settings.gamma_floor
+            )
+
+            change = float(np.linalg.norm(mu_new - mu))
+            scale = max(float(np.linalg.norm(mu_new)), 1e-12)
+            mu = mu_new
+            if change <= settings.tol * scale:
+                converged = True
+                break
+
+            if settings.learn_correlation and blen > 1:
+                r = float(
+                    ar1_estimate(
+                        np, mu.reshape(1, g, blen), gamma_prev,
+                        settings.corr_limit,
+                    )[0]
+                )
 
     return mu, iterations, converged, history
 
@@ -406,12 +476,8 @@ def solve_bsbl(
         raise ValueError("noise_var must be positive")
     settings = settings or BsblSettings()
     problem, y, alpha0 = _check_inputs(phi, basis, y, problem, alpha0)
-    G = problem.gram() / noise_var
-    b_vec = problem.adjoint(y) / noise_var
-    y_quad = float(y @ y) / noise_var
-    logdet_r = problem.m * float(np.log(noise_var))
-    mu, iterations, converged, history = _em_information_form(
-        G, b_vec, y_quad, logdet_r, settings, alpha0
+    mu, iterations, converged, history = _em_measurement_form(
+        problem, y, noise_var, settings, alpha0
     )
     return _finish(
         problem,
@@ -456,16 +522,8 @@ def solve_bsbl_dequant(
     problem, y, alpha0 = _check_inputs(phi, basis, y, problem, alpha0)
     x_mid = check_finite(np.asarray(x_mid, dtype=float), name="x_mid")
     x_mid = check_shape(x_mid, (problem.n,), name="x_mid")
-    n = problem.n
-    G = problem.gram() / noise_var + np.eye(n) / quant_var
-    c_vec = problem.basis.analyze(x_mid)
-    b_vec = problem.adjoint(y) / noise_var + c_vec / quant_var
-    y_quad = float(y @ y) / noise_var + float(x_mid @ x_mid) / quant_var
-    logdet_r = problem.m * float(np.log(noise_var)) + n * float(
-        np.log(quant_var)
-    )
-    mu, iterations, converged, history = _em_information_form(
-        G, b_vec, y_quad, logdet_r, settings, alpha0
+    mu, iterations, converged, history = _em_measurement_form(
+        problem, y, noise_var, settings, alpha0, x_mid, quant_var
     )
     return _finish(
         problem,

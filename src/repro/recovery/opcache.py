@@ -125,11 +125,11 @@ class OperatorSet:
     def gram(self):
         """The Gram matrix ``AᵀA`` on this backend/precision; ``(n, n)``.
 
-        The block-structured Bayesian solvers build their information
-        matrix from this each solve, so it is memoized per operator set —
-        exactly once per ``(problem, backend, precision)``, like the ADMM
-        factor.  The exact path delegates to the problem's own cached
-        Gram, so scalar and batched BSBL share one bit-identical matrix.
+        The batched ADMM factorization is built from it, so it is
+        memoized per operator set — exactly once per ``(problem,
+        backend, precision)``.  The exact path delegates to the
+        problem's own cached Gram, so the scalar and batched paths share
+        one bit-identical matrix.
         """
         if self.settings.is_exact:
             return self.problem.gram()

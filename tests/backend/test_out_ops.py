@@ -1,10 +1,12 @@
 """The ``out=``-capable hot-loop operations of the backend protocol.
 
 The workspace engines route every per-iteration temporary into leased
-buffers through ``matmul``/``solve``/``soft_threshold`` — these tests
-pin the contract that makes that safe: the ``out=`` form of each op is
-bit-identical to its expression form (signed zeros included), writes
-into exactly the passed buffer, and leaves its inputs untouched.
+buffers through ``matmul``/``solve``/``soft_threshold`` and the
+dense-algebra trio ``gemm``/``gram_cholesky``/``solve_lower`` — these
+tests pin the contract that makes that safe: the ``out=`` form of each
+op is bit-identical to its expression form (signed zeros included),
+writes into exactly the passed buffer (which may be the input itself for
+``solve_lower``), and leaves its inputs untouched otherwise.
 """
 
 import numpy as np
@@ -128,3 +130,129 @@ class TestCholeskyOverwrite:
         reference = HOST.cho_solve(factor, b.copy())
         clobbered = HOST.cho_solve(factor, b, overwrite_b=True)
         assert np.array_equal(clobbered, reference)
+
+
+class TestGemm:
+    def test_matches_matmul(self, rng):
+        a = rng.standard_normal((9, 4))
+        b = rng.standard_normal((4, 6))
+        assert np.allclose(HOST.gemm(a, b), a @ b, rtol=1e-13, atol=1e-14)
+
+    def test_out_form_bit_identical_and_in_buffer(self, rng):
+        a = rng.standard_normal((9, 4))
+        b = rng.standard_normal((4, 6))
+        out = np.full((9, 6), np.nan)
+        assert HOST.gemm(a, b, out=out) is out
+        assert np.array_equal(out, HOST.gemm(a, b))
+
+    def test_transposed_operands_and_float32(self, rng):
+        a = rng.standard_normal((4, 9)).T
+        b = rng.standard_normal((6, 4)).T.astype(np.float32)
+        result = HOST.gemm(a, b)
+        assert result.dtype == np.float64
+        assert np.allclose(result, a @ b, rtol=1e-6)
+        c = HOST.gemm(a.astype(np.float32), b)
+        assert c.dtype == np.float32
+
+    def test_wrong_out_rejected(self, rng):
+        a = rng.standard_normal((3, 3))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            HOST.gemm(a, a, out=np.empty((3, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            HOST.gemm(a, a, out=np.empty((3, 3), order="F"))
+
+    def test_base_class_fallback_matches(self, rng):
+        a = rng.standard_normal((5, 3))
+        b = rng.standard_normal((3, 2))
+        assert np.array_equal(ArrayBackend.gemm(HOST, a, b), a @ b)
+
+
+class TestGramCholesky:
+    def _stack(self, rng, batch=3, m=7, n=9):
+        return rng.standard_normal((batch, m, n))
+
+    def _reference(self, x, shift):
+        gram = x @ np.swapaxes(x, -1, -2) + shift * np.eye(x.shape[-2])
+        return np.linalg.cholesky(gram)
+
+    def test_matches_numpy_factor(self, rng):
+        x = self._stack(rng)
+        factor = HOST.gram_cholesky(x, 0.5)
+        assert np.allclose(factor, self._reference(x, 0.5), rtol=1e-12, atol=1e-13)
+        assert np.array_equal(np.triu(factor, 1), np.zeros_like(factor))
+
+    def test_out_form_bit_identical_over_dirty_buffer(self, rng):
+        # The workspace hands back buffers holding stale values; the
+        # factor must not read them.
+        x = self._stack(rng)
+        out = np.full((3, 7, 7), np.nan)
+        assert HOST.gram_cholesky(x, 0.5, out=out) is out
+        assert np.array_equal(out, HOST.gram_cholesky(x, 0.5))
+
+    def test_wide_and_tall_inputs_and_2d(self, rng):
+        for shape in ((6, 3), (3, 6)):
+            x = rng.standard_normal(shape)
+            x0 = x.copy()
+            factor = HOST.gram_cholesky(x, 1e-3)
+            assert np.array_equal(x, x0)
+            assert np.allclose(factor @ factor.T, x @ x.T + 1e-3 * np.eye(shape[0]))
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            HOST.gram_cholesky(np.zeros((1, 3, 2)), -1.0)
+
+    def test_base_class_fallback_matches(self, rng):
+        x = self._stack(rng)
+        out = np.empty((3, 7, 7))
+        assert ArrayBackend.gram_cholesky(HOST, x, 0.5, out=out) is out
+        assert np.allclose(out, self._reference(x, 0.5), rtol=1e-12, atol=1e-13)
+
+
+class TestSolveLower:
+    def _system(self, rng, batch=3, n=6, p=5):
+        g = rng.standard_normal((batch, n, n + 2))
+        lower = np.linalg.cholesky(g @ np.swapaxes(g, -1, -2))
+        return lower, rng.standard_normal((batch, n, p))
+
+    def test_matches_general_solve(self, rng):
+        lower, b = self._system(rng)
+        reference = np.linalg.solve(lower, b)
+        assert np.allclose(HOST.solve_lower(lower, b), reference, rtol=1e-12)
+
+    def test_out_form_bit_identical_and_in_place(self, rng):
+        lower, b = self._system(rng)
+        fresh = HOST.solve_lower(lower, b)
+        out = np.full_like(b, np.nan)
+        assert HOST.solve_lower(lower, b, out=out) is out
+        assert np.array_equal(out, fresh)
+        inplace = b.copy()
+        assert HOST.solve_lower(lower, inplace, out=inplace) is inplace
+        assert np.array_equal(inplace, fresh)
+
+    def test_vector_rhs_and_inputs_untouched(self, rng):
+        lower, b = self._system(rng, p=1)
+        l0, b0 = lower.copy(), b.copy()
+        x = HOST.solve_lower(lower, b)
+        assert np.array_equal(lower, l0)
+        assert np.array_equal(b, b0)
+        assert np.allclose(lower @ x, b, rtol=1e-12)
+
+    def test_mixed_dtypes_follow_the_right_hand_side(self, rng):
+        # A float64 factor against a float32 stack must still substitute
+        # in place (a dtype mismatch would make BLAS work on a copy).
+        lower, b = self._system(rng)
+        x = HOST.solve_lower(lower, b.astype(np.float32))
+        assert x.dtype == np.float32
+        assert np.allclose(x, np.linalg.solve(lower, b), rtol=1e-3, atol=1e-4)
+
+    def test_non_contiguous_out_rejected(self, rng):
+        lower, b = self._system(rng)
+        out = np.empty((3, 5, 6)).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            HOST.solve_lower(lower, b, out=out)
+
+    def test_base_class_fallback_matches(self, rng):
+        lower, b = self._system(rng)
+        out = np.empty_like(b)
+        assert ArrayBackend.solve_lower(HOST, lower, b, out=out) is out
+        assert np.array_equal(out, np.linalg.solve(lower, b))

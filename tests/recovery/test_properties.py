@@ -11,8 +11,9 @@ Randomized instances of the paper's convex programs, checking the
 * BSBL-BO posterior means fit the data to within the noise ball, its
   fixed-``B`` EM evidence is monotone non-increasing, the Bayesian
   de-quantization solution stays within one quantizer cell of the
-  Eq. 1 box solution, and the batched EM engine matches its scalar
-  oracle to 1e-8 across CRs and warm-start states.
+  Eq. 1 box solution, and the batched EM engines (plain and
+  de-quantizing) match their scalar oracles to 1e-8 across CRs and
+  warm-start states.
 
 Marked ``property`` so `make test-fast` can skip them locally; CI always
 runs them.  Instances are kept small (n = 64) so the whole suite stays
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.recovery.batched import solve_bsbl_batch
+from repro.recovery.batched import solve_bsbl_batch, solve_bsbl_dequant_batch
 from repro.recovery.bpdn import solve_bpdn
 from repro.recovery.bsbl import BsblSettings, solve_bsbl, solve_bsbl_dequant
 from repro.recovery.fista import lambda_max, solve_fista
@@ -239,31 +240,64 @@ def test_bsbl_em_objective_monotone(seed, m, k):
     assert np.all(np.diff(history) <= tol)
 
 
+def _batched_grid_instance(cr, warm):
+    """Five noisy sparse windows at one CR, with optional warm starts."""
+    m = int(round(N * (1.0 - cr / 100.0)))
+    rng = np.random.default_rng(int(cr) * 10 + warm)
+    phi = bernoulli_matrix(m, N, seed=5)
+    problem = CsProblem(phi, _BASIS)
+    xs, ys, alpha0s = [], [], []
+    for _ in range(5):
+        alpha = np.zeros(N)
+        alpha[rng.choice(N, 6, replace=False)] = rng.standard_normal(6) * 2.0
+        x = _BASIS.synthesize(alpha)
+        y = phi @ x + 0.02 * rng.standard_normal(m)
+        xs.append(x)
+        ys.append(y)
+        alpha0s.append(problem.matched_filter(y) * 0.1)
+    alpha0 = np.stack(alpha0s, axis=1) if warm else None
+    return problem, xs, ys, alpha0
+
+
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
 @pytest.mark.parametrize("cr", (25.0, 50.0, 75.0))
 def test_bsbl_batched_matches_scalar(cr, warm):
     """The batched EM engine is the scalar solver's arithmetic reordered:
     across the CR grid and both warm-start states, every coefficient
     agrees to 1e-8 (measured: BLAS-rounding level)."""
-    m = int(round(N * (1.0 - cr / 100.0)))
-    rng = np.random.default_rng(int(cr) * 10 + warm)
-    phi = bernoulli_matrix(m, N, seed=5)
-    problem = CsProblem(phi, _BASIS)
-    ys, alpha0s = [], []
-    for _ in range(5):
-        alpha = np.zeros(N)
-        alpha[rng.choice(N, 6, replace=False)] = rng.standard_normal(6) * 2.0
-        y = phi @ _BASIS.synthesize(alpha) + 0.02 * rng.standard_normal(m)
-        ys.append(y)
-        alpha0s.append(problem.matched_filter(y) * 0.1)
-    alpha0 = np.stack(alpha0s, axis=1) if warm else None
-
+    problem, _, ys, alpha0 = _batched_grid_instance(cr, warm)
     batched = solve_bsbl_batch(
         problem, ys, 0.02**2, bsbl=_BSBL, alpha0=alpha0
     )
     for j, (y, result) in enumerate(zip(ys, batched)):
         scalar = solve_bsbl(
             problem.phi, _BASIS, y, 0.02**2,
+            settings=_BSBL, problem=problem,
+            alpha0=alpha0[:, j] if warm else None,
+        )
+        assert np.max(np.abs(result.alpha - scalar.alpha)) <= 1e-8
+        assert result.iterations == scalar.iterations
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+@pytest.mark.parametrize("cr", (25.0, 50.0, 75.0))
+def test_bsbl_dequant_batched_matches_scalar(cr, warm):
+    """The de-quantization twin of the batched-vs-scalar gate: the
+    low-res channel (cell midpoints with their variance) rides the same
+    E-step kernel, so the batched engine must match the scalar solver
+    to 1e-8 per coefficient with equal iteration counts."""
+    problem, xs, ys, alpha0 = _batched_grid_instance(cr, warm)
+    box_width = 0.5
+    x_mids = [
+        (np.floor(x / box_width) + 0.5) * box_width for x in xs
+    ]
+    quant_var = box_width**2 / 12.0
+    batched = solve_bsbl_dequant_batch(
+        problem, ys, 0.02**2, x_mids, quant_var, bsbl=_BSBL, alpha0=alpha0
+    )
+    for j, (y, x_mid, result) in enumerate(zip(ys, x_mids, batched)):
+        scalar = solve_bsbl_dequant(
+            problem.phi, _BASIS, y, 0.02**2, x_mid, quant_var,
             settings=_BSBL, problem=problem,
             alpha0=alpha0[:, j] if warm else None,
         )
