@@ -64,13 +64,13 @@ bench-bsbl-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --smoke --bsbl-only \
 		--workers 2 --bsbl-output benchmarks/results/BENCH_bsbl.json
 
-# Per-backend microbenchmarks: the solver/encode grids run twice per
+# Per-precision microbenchmarks: the solver/encode grids run twice per
 # cell — the exact numpy/float64 arm (which feeds the gated aggregates)
 # plus the numpy/float32 fast arm, whose deviation metrics land in the
 # artifacts' by_backend sections (see docs/backends.md).
 bench-backend-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --smoke --workers 2 \
-		--backend numpy --precision float32 \
+		--precision float32 \
 		--output benchmarks/results/BENCH_sweep.json
 
 # Workspace/allocation profile of the hot kernels: every batched engine

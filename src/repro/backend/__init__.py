@@ -1,4 +1,4 @@
-"""Pluggable array-backend (``xp``) seam for the batched engines.
+"""The NumPy array seam (``xp``) for the batched engines.
 
 Every hot kernel in this repo — the stack solvers
 (:mod:`repro.recovery.batched`), the one-GEMM encoder
@@ -7,66 +7,41 @@ Every hot kernel in this repo — the stack solvers
 importing ``numpy`` directly (reprolint RL105 enforces it).  The seam
 has three parts:
 
-* :class:`~repro.backend.base.ArrayBackend` — the protocol: an array
-  namespace ``xp`` plus the non-standard shims (Cholesky factor/solve,
-  the first-order IIR, ``packbits``/``bincount``);
+* :class:`~repro.backend.numpy_backend.NumpyBackend` — the namespace
+  ``xp`` (the ``numpy`` module) plus the shims NumPy lacks (Cholesky
+  factor/solve, the in-place BSBL algebra, the first-order IIR,
+  ``packbits``/``bincount``), with :data:`HOST` its one instance;
 * :class:`~repro.backend.settings.BackendSettings` — the frozen
-  ``(name, precision)`` pair carried on ``FrontEndConfig`` and threaded
-  through stages, sessions and the CLI (``--backend``/``--precision``);
-* the registry (:func:`get_backend` / :func:`resolve`) with the NumPy
-  reference always available and CuPy/numba/torch behind lazy import +
-  capability detection.
+  precision carried on ``FrontEndConfig`` and threaded through stages,
+  sessions and the CLI (``--precision``);
+* :func:`resolve` — settings in, the ``(backend, xp, dtype, settings)``
+  bundle out, with ``None`` meaning the exact float64 default.
 
-Dtype policy: NumPy at ``float64`` is the **exact** path — ``xp`` is
-the ``numpy`` module itself, so results are bit-identical to the
-pre-seam code and every PR 4–5 identity gate holds unchanged.  Anything
-else is a **fast** path verified differentially against the exact one.
+Dtype policy: ``float64`` is the **exact** path — ``xp`` is the
+``numpy`` module itself, so results are bit-identical to the pre-seam
+code and every identity gate holds unchanged.  ``float32`` is the
+**fast** path, verified differentially against the exact one.
 
-:data:`HOST` is the process-wide reference backend instance; the
-``ndarray``/``Generator``/``default_rng`` re-exports let seam modules
-keep annotations and host-side RNG (randomness stays on the host by
-policy, so every backend consumes identical random draws).
+The ``ndarray``/``Generator``/``default_rng`` re-exports let seam
+modules keep annotations and host-side RNG (randomness stays in
+float64 on the host by policy, so both precisions consume identical
+random draws).
 """
 
-from repro.backend.base import ArrayBackend, BackendUnavailableError
-from repro.backend.registry import (
-    ResolvedBackend,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve,
-)
 from repro.backend.settings import PRECISIONS, BackendSettings
-from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.cupy_backend import CupyBackend
-from repro.backend.numba_backend import NumbaBackend
-from repro.backend.torch_backend import TorchBackend
+from repro.backend.numpy_backend import HOST, NumpyBackend, ResolvedBackend, resolve
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
     "BackendSettings",
     "PRECISIONS",
     "ResolvedBackend",
     "NumpyBackend",
-    "CupyBackend",
-    "NumbaBackend",
-    "TorchBackend",
-    "register_backend",
-    "backend_names",
-    "available_backends",
-    "get_backend",
     "resolve",
     "HOST",
     "ndarray",
     "Generator",
     "default_rng",
 ]
-
-#: The process-wide NumPy reference backend (always available); seam
-#: modules use it for host-side work that is exact by definition.
-HOST = get_backend("numpy")
 
 #: Host-side array/RNG types re-exported so seam modules need no direct
 #: numpy import for annotations or (host-by-policy) randomness.

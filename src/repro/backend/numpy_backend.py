@@ -1,11 +1,20 @@
-"""The NumPy reference backend — the exact path and the host boundary.
+"""The NumPy/SciPy backend — the one array seam of the batched engines.
 
 ``xp`` here is literally the ``numpy`` module and the shims delegate to
-SciPy, so an engine running on this backend at float64 executes the
-*same functions in the same order* as the pre-seam code: the exact path
-is bit-identical by construction, not by tolerance.  Every other
-backend's correctness is measured against this one (the differential
-suites in ``tests/backend``).
+SciPy, so an engine running at float64 executes the *same functions in
+the same order* as the pre-seam code: the exact path is bit-identical
+by construction, not by tolerance.  The float32 fast path runs the same
+calls in single precision and is measured against the exact one (the
+differential suites in ``tests/backend``).
+
+The class bundles ``xp`` with the operations plain NumPy does not
+offer in the form the engines need: Cholesky factor/solve in SciPy's
+``(c, lower)`` form, the ``out=``-capable hot-loop operations, the
+in-place dense-algebra trio of the BSBL E-step (``gemm``,
+``gram_cholesky``, ``solve_lower``), the first-order IIR recurrence
+behind the ECG exponential integrator, and ``packbits``/``bincount``.
+``to_numpy`` marks the boundary where results leave the engines for
+the scalar world (``RecoveryResult``, quantizers, metrics).
 
 This module is the designated home of the repo's direct ``numpy``/
 ``scipy`` imports for the seam-covered engines — reprolint's RL105
@@ -15,23 +24,15 @@ the array libraries themselves).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import signal as sps
 
-from repro.backend.base import ArrayBackend
-from repro.backend.registry import register_backend
+from repro.backend.settings import PRECISIONS, BackendSettings
 
-__all__ = ["NumpyBackend"]
-
-try:  # The batched-solve gufunc accepts out= (np.linalg.solve does not).
-    from numpy.linalg import _umath_linalg as _umath
-
-    _GUFUNC_SOLVE = _umath.solve
-except (ImportError, AttributeError):  # pragma: no cover - numpy internals
-    _GUFUNC_SOLVE = None
+__all__ = ["NumpyBackend", "HOST", "ResolvedBackend", "resolve"]
 
 
 def _c_target(out: Any, shape: Any, dtype: Any) -> np.ndarray:
@@ -48,15 +49,22 @@ def _c_target(out: Any, shape: Any, dtype: Any) -> np.ndarray:
     return out
 
 
-@register_backend
-class NumpyBackend(ArrayBackend):
-    """CPU reference backend over ``numpy`` + ``scipy`` (always available)."""
+class NumpyBackend:
+    """``numpy`` + ``scipy`` behind the engines' array seam."""
 
-    name = "numpy"
+    #: The array namespace: the ``numpy`` module itself.
+    xp = np
 
-    @property
-    def xp(self) -> Any:
-        return np
+    def dtype(self, precision: str) -> Any:
+        """The dtype for a precision name (the dtype policy).
+
+        ``"float64"`` is the exact default; ``"float32"`` the fast path.
+        """
+        if precision not in PRECISIONS:
+            raise ValueError(
+                f"precision must be one of {PRECISIONS}, got {precision!r}"
+            )
+        return getattr(np, precision)
 
     def asarray(self, values: Any, dtype: Any = None) -> np.ndarray:
         """``values`` as a host array, same shape as the input."""
@@ -67,6 +75,7 @@ class NumpyBackend(ArrayBackend):
         return np.asarray(arr)
 
     def cho_factor(self, a: Any) -> Any:
+        """Cholesky factorization in SciPy's ``(c, lower)`` convention."""
         return sla.cho_factor(a)
 
     def cho_solve(
@@ -81,20 +90,37 @@ class NumpyBackend(ArrayBackend):
         """
         return sla.cho_solve(factor, b, overwrite_b=overwrite_b)
 
-    def solve(self, a: Any, b: Any, out: Any = None) -> np.ndarray:
-        """Batched ``a x = b``, same shape as ``b``; ``out=`` hits the gufunc.
+    # -- out=-capable hot-loop operations ------------------------------------
+    # The engines route per-iteration temporaries into workspace buffers
+    # through these.  With ``out=None`` each is exactly the expression it
+    # replaces, so the fresh-allocation baseline shares the code path.
 
-        The gufunc performs the identical LAPACK ``gesv`` call as
-        ``np.linalg.solve`` (bit-identical results, inputs untouched)
-        but writes into ``out`` without an intermediate.  One semantic
-        difference: on a singular system the gufunc fills ``out`` with
-        NaN instead of raising ``LinAlgError``.  The engines only solve
-        SPD systems here, so the perf path never hits that branch; the
-        ``out=None`` path keeps the raising behaviour.
+    def matmul(self, a: Any, b: Any, out: Any = None) -> np.ndarray:
+        """``a @ b`` (``np.matmul`` shape rules), optionally into ``out``.
+
+        The ``out=`` form uses the same GEMM accumulation order as the
+        operator form — results are bit-identical, only the destination
+        allocation differs.
         """
-        if out is None or _GUFUNC_SOLVE is None:
-            return super().solve(a, b, out=out)
-        return _GUFUNC_SOLVE(a, b, out=out)
+        if out is None:
+            return np.matmul(a, b)
+        return np.matmul(a, b, out=out)
+
+    def soft_threshold(self, v: Any, threshold: Any, out: Any = None) -> np.ndarray:
+        """``sign(v) * max(|v| - threshold, 0)``, same shape as ``v``.
+
+        The shrinkage operator of FISTA/ADMM.  The ``out=`` form fuses
+        the pipeline into ``out`` (one sign temporary remains) and is
+        bit-identical to the expression form, signed zeros included.
+        """
+        if out is None:
+            return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+        sgn = np.sign(v)
+        np.abs(v, out=out)
+        out -= threshold
+        np.maximum(out, 0.0, out=out)
+        out *= sgn
+        return out
 
     # The dense-algebra trio below runs on SciPy's BLAS/LAPACK (the
     # triangular solve and in-place factorizations NumPy lacks).  NumPy's
@@ -177,3 +203,27 @@ class NumpyBackend(ArrayBackend):
     def bincount(self, values: Any, minlength: int = 0) -> np.ndarray:
         """Occurrence counts, 1-D of length ``max(values)+1`` or ``minlength``."""
         return np.bincount(values, minlength=minlength)
+
+
+#: The process-wide backend instance every seam module computes on.
+HOST = NumpyBackend()
+
+
+class ResolvedBackend(NamedTuple):
+    """Everything an engine needs from one settings resolution."""
+
+    backend: NumpyBackend
+    xp: Any
+    dtype: Any
+    settings: BackendSettings
+
+
+def resolve(settings: Optional[BackendSettings] = None) -> ResolvedBackend:
+    """Resolve settings (``None`` = exact default) to the engine bundle.
+
+    Returns the ``(backend, xp, dtype, settings)`` tuple the engines
+    destructure at their entry points.
+    """
+    if settings is None:
+        settings = BackendSettings()
+    return ResolvedBackend(HOST, np, HOST.dtype(settings.precision), settings)

@@ -1,18 +1,15 @@
-"""Backend selection carried on :class:`repro.core.config.FrontEndConfig`.
+"""Engine precision carried on :class:`repro.core.config.FrontEndConfig`.
 
 :class:`BackendSettings` is the one object that travels: a frozen,
-hashable pair of *which* array backend executes the batched engines and
-*what* floating-point precision they run at.  It is deliberately free of
-any import of the backends themselves, so configs (and the cache keys
-derived from them) stay cheap to build and safe to pickle into worker
-processes even when an optional backend library is absent.
+hashable record of *what* floating-point precision the batched engines
+run at.  The engines always run on NumPy/SciPy; the precision is the
+only choice.
 
-The dtype policy in one sentence: ``float64`` on the NumPy backend is
-the **exact** path — bit-identical to the scalar oracles and to every
-output the repo shipped before the seam existed — while anything else
-(``float32``, or a non-NumPy backend) is a **fast** path whose deviation
-from the exact path is measured, bounded and reported rather than
-assumed away (see ``docs/backends.md``).
+The dtype policy in one sentence: ``float64`` is the **exact** path —
+bit-identical to the scalar oracles and to every output the repo
+shipped before the seam existed — while ``float32`` is a **fast** path
+whose deviation from the exact path is measured, bounded and reported
+rather than assumed away (see ``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -21,37 +18,28 @@ from dataclasses import dataclass
 
 __all__ = ["BackendSettings", "PRECISIONS"]
 
-#: Supported precision names, mapped to dtypes by each backend's
-#: :meth:`~repro.backend.base.ArrayBackend.dtype`.
+#: Supported precision names, mapped to dtypes by
+#: :meth:`~repro.backend.numpy_backend.NumpyBackend.dtype`.
 PRECISIONS = ("float64", "float32")
 
 
 @dataclass(frozen=True)
 class BackendSettings:
-    """Which backend and precision the batched engines execute on.
+    """The precision the batched engines execute at.
 
     Hashable so it can live inside ``FrontEndConfig`` and participate in
     operator-cache keys (:mod:`repro.recovery.opcache` keys cached
-    factorizations by ``(problem, backend, precision)``).
+    factorizations by ``(problem, precision)``).
 
     Attributes
     ----------
-    name:
-        Registered backend name (``"numpy"`` is always available;
-        ``"cupy"``/``"torch"`` require their libraries and are resolved
-        lazily — constructing settings for an absent backend is fine,
-        *using* them raises
-        :class:`~repro.backend.base.BackendUnavailableError`).
     precision:
         ``"float64"`` (exact default) or ``"float32"`` (fast path).
     """
 
-    name: str = "numpy"
     precision: str = "float64"
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name.replace("_", "").isalnum():
-            raise ValueError(f"backend name {self.name!r} is not a valid identifier")
         if self.precision not in PRECISIONS:
             raise ValueError(
                 f"precision must be one of {PRECISIONS}, got {self.precision!r}"
@@ -59,14 +47,10 @@ class BackendSettings:
 
     @property
     def is_exact(self) -> bool:
-        """Whether this is the bit-identical reference path.
-
-        Only NumPy/float64 carries the bit-identity contract; every
-        other combination is a measured fast path.
-        """
-        return self.name == "numpy" and self.precision == "float64"
+        """Whether this is the bit-identical reference path (float64)."""
+        return self.precision == "float64"
 
     @property
     def label(self) -> str:
-        """Stable ``name/precision`` label used in bench cells and reports."""
-        return f"{self.name}/{self.precision}"
+        """Stable ``numpy/precision`` label used in bench cells and reports."""
+        return f"numpy/{self.precision}"

@@ -40,21 +40,17 @@ from repro.recovery.methods import method_names
 __all__ = ["build_parser", "main"]
 
 
-def _add_backend_options(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` / ``--precision`` knobs.
+def _add_precision_option(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--precision`` knob.
 
-    Selects the array backend + precision carried on
-    ``FrontEndConfig.backend`` (see ``docs/backends.md``).  The default
-    (numpy/float64) is the exact path; ``repro bench`` benches any
-    non-default selection *alongside* the exact arm rather than instead
-    of it, so the artifacts always contain the gated reference cells.
+    Selects the engine precision carried on ``FrontEndConfig.backend``
+    (see ``docs/backends.md``).  The default (float64) is the exact
+    path; ``repro bench`` benches float32 *alongside* the exact arm
+    rather than instead of it, so the artifacts always contain the gated
+    reference cells.
     """
-    from repro.backend import PRECISIONS, backend_names
+    from repro.backend import PRECISIONS
 
-    parser.add_argument(
-        "--backend", default="numpy", choices=backend_names(),
-        help="array backend for the batched engines (default: numpy)",
-    )
     parser.add_argument(
         "--precision", default="float64", choices=list(PRECISIONS),
         help="engine dtype policy (default: float64, the exact path)",
@@ -62,21 +58,10 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _backend_settings(args: argparse.Namespace):
-    """The ``BackendSettings`` an argparse namespace selects (validated)."""
-    from repro.backend import (
-        BackendSettings,
-        BackendUnavailableError,
-        get_backend,
-    )
+    """The ``BackendSettings`` an argparse namespace selects."""
+    from repro.backend import BackendSettings
 
-    settings = BackendSettings(name=args.backend, precision=args.precision)
-    try:
-        get_backend(settings.name)  # fail fast if the backend is unavailable
-    except BackendUnavailableError as exc:
-        # Surface as the CLI's clean `error:` path (it is user input, not
-        # a bug), keeping the distinct type for library callers.
-        raise ValueError(str(exc)) from exc
-    return settings
+    return BackendSettings(precision=args.precision)
 
 
 def _add_workers_option(parser: argparse.ArgumentParser, default: int = 1) -> None:
@@ -263,8 +248,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     workers = resolve_worker_count(args.workers)
     methods = ("hybrid", "normal")
 
-    # Microbench backend arms: always the exact reference, plus the
-    # selected backend/precision when it differs.
+    # Microbench precision arms: always the exact reference, plus the
+    # selected precision when it differs.
     from repro.backend import BackendSettings
 
     bench_backends = [BackendSettings()]
@@ -431,7 +416,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for c in cells:
         print(
             f"solver {c.solver:<6} CR {c.cr_percent:5.1f}% "
-            f"[{c.backend_label}]: "
+            f"[{c.backend.label}]: "
             f"loop {c.loop_windows_per_sec:6.1f} w/s | "
             f"batched {c.batched_windows_per_sec:6.1f} w/s | "
             f"speedup {c.speedup:5.2f}x | "
@@ -526,7 +511,7 @@ def _write_encode_bench(args, config, crs, record_name, backends=None) -> None:
     for c in encode_cells:
         print(
             f"encode {c.method:<6} CR {c.cr_percent:5.1f}% "
-            f"[{c.backend_label}]: "
+            f"[{c.backend.label}]: "
             f"loop {c.loop_windows_per_sec:7.1f} w/s | "
             f"batched {c.batched_windows_per_sec:7.1f} w/s | "
             f"speedup {c.speedup:5.2f}x | "
@@ -842,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-windows", type=int, default=4)
     p.add_argument("--max-iter", type=int, default=3000)
     _add_workers_option(p, default=1)
-    _add_backend_options(p)
+    _add_precision_option(p)
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser(
@@ -885,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resize the process problem/operator LRU cache "
                         "before benchmarking (entries beyond the new size "
                         "are evicted oldest-first)")
-    _add_backend_options(p)
+    _add_precision_option(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
@@ -945,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poll-every", type=int, default=8,
                    help="gateway poll cadence, in playback chunks")
     _add_workers_option(p, default=1)
-    _add_backend_options(p)
+    _add_precision_option(p)
     p.add_argument("--output", "-o",
                    help="also write the final gateway snapshot as JSON")
     p.set_defaults(func=_cmd_stream)
@@ -989,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print a snapshot line after every gateway poll")
     _add_workers_option(p, default=1)
-    _add_backend_options(p)
+    _add_precision_option(p)
     p.add_argument("--output", "-o",
                    default="benchmarks/results/BENCH_gateway.json",
                    help="where to write the machine-readable result")

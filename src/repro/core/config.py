@@ -60,9 +60,9 @@ class FrontEndConfig:
         path; see ``docs/encoding.md``) and its quantizer boundary
         guard.  Like ``recovery``, an efficiency knob only.
     backend:
-        Array backend + precision the batched engines execute on (see
-        ``docs/backends.md``).  The default (NumPy/float64) is the exact
-        path; anything else is a fast path whose deviation from the
+        Precision the batched engines execute at (see
+        ``docs/backends.md``).  The default (float64) is the exact
+        path; float32 is a fast path whose deviation from the
         exact outputs is measured, not assumed — unlike ``recovery`` /
         ``encode`` this knob *can* change transmitted bytes and
         recovered samples within the documented differential bounds.
@@ -121,14 +121,6 @@ class FrontEndConfig:
     def with_lowres_bits(self, bits: int) -> "FrontEndConfig":
         """Same config at a different low-res resolution (ablations)."""
         return replace(self, lowres_bits=bits)
-
-    def with_backend(
-        self, name: str, precision: str = "float64"
-    ) -> "FrontEndConfig":
-        """Same config on a different backend/precision (bench comparisons)."""
-        return replace(
-            self, backend=BackendSettings(name=name, precision=precision)
-        )
 
     def for_cr(self, cr_percent: float) -> "FrontEndConfig":
         """Config whose measurement count realises the given CS-channel CR."""

@@ -21,8 +21,8 @@ quantizing, making the batched codes deterministically equal to the
 scalar ones.
 
 **Backend seam:** the GEMM consumes :mod:`repro.backend` instead of
-numpy directly.  On a fast path (float32 or a non-NumPy backend) only
-the bulk GEMM runs in the selected backend/precision; the quantizer
+numpy directly.  On the float32 fast path only the bulk GEMM runs in
+single precision; the quantizer
 scaling and the boundary-guard detection *always* run in float64 on the
 host, and every near-edge row is recomputed with the exact float64
 GEMV.  So a fast-path code can differ from the exact path only where
@@ -91,9 +91,9 @@ def measure_window_stack(
     per-window float64 GEMV.  ``centered`` must be C-contiguous float64 —
     each guarded row is then the exact array the scalar path sees.  With
     default/exact ``settings`` every code equals the scalar path's bit
-    for bit; on a fast path only the bulk GEMM runs in the selected
-    backend/precision while guard detection and recomputation stay
-    float64 (host), as does the quantizer.
+    for bit; on the fast path only the bulk GEMM runs in float32 while
+    guard detection and recomputation stay float64, as does the
+    quantizer.
     """
     host = HOST.xp
     centered = host.ascontiguousarray(centered, dtype=host.float64)

@@ -100,8 +100,8 @@ class _CsPath:
         One GEMM plus the quantizer boundary guard of
         :func:`repro.core.encode_batch.measure_window_stack`, so every row
         equals ``measure(windows[i])`` bit for bit at the default (exact)
-        ``config.backend``; fast backends trade bounded code deltas for
-        throughput (see ``docs/backends.md``).
+        ``config.backend``; the float32 fast path trades bounded code
+        deltas for throughput (see ``docs/backends.md``).
         """
         centered = windows.astype(float) - self.center
         return measure_window_stack(

@@ -280,14 +280,14 @@ class BackendSeamImportRule(ProgramRule):
     rationale = (
         "A module that declares __backend_seam__ = True promises that "
         "all its array operations flow through repro.backend, where the "
-        "backend/precision policy and the exact/fast dispatch live; a "
-        "direct numpy/scipy (or cupy/torch) import there creates a "
-        "host-pinned side channel the per-backend differential "
-        "verification never sees."
+        "precision policy (float64 exact, float32 fast) and its dtype "
+        "dispatch live; a direct numpy/scipy import there is a side "
+        "channel that ignores the selected precision, which the "
+        "float32-vs-float64 differential verification never sees."
     )
 
     #: Import roots a seam module must obtain via :mod:`repro.backend`.
-    ARRAY_LIBRARIES = frozenset({"numpy", "scipy", "cupy", "torch", "jax"})
+    ARRAY_LIBRARIES = frozenset({"numpy", "scipy"})
 
     @staticmethod
     def _is_backend_module(module: str) -> bool:
@@ -315,5 +315,5 @@ class BackendSeamImportRule(ProgramRule):
                     f"{summary.module} declares __backend_seam__ but "
                     f"imports {rec.module} directly; route array "
                     "operations through repro.backend so the "
-                    "backend/precision policy applies",
+                    "precision policy applies",
                 )

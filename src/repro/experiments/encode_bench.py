@@ -71,23 +71,13 @@ class EncodeBenchCell:
     loop_s: float
     batched_s: float
     bytes_identical: bool
-    backend: str = "numpy"
-    precision: str = "float64"
+    backend: BackendSettings = BackendSettings()
     #: Fraction of windows whose packet bytes match the scalar oracle
     #: exactly (1.0 on the exact path by contract).
     identical_fraction: float = 1.0
     #: Worst absolute measurement-code difference vs the scalar oracle
     #: (0 on the exact path by contract).
     max_code_delta: int = 0
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether this cell ran the exact (NumPy/float64) path."""
-        return self.backend == "numpy" and self.precision == "float64"
-
-    @property
-    def backend_label(self) -> str:
-        return f"{self.backend}/{self.precision}"
 
     @property
     def loop_windows_per_sec(self) -> float:
@@ -217,8 +207,7 @@ def run_encode_bench(
                         loop_s=loop_s,
                         batched_s=batched_s,
                         bytes_identical=matches == len(loop_packets),
-                        backend=settings.name,
-                        precision=settings.precision,
+                        backend=settings,
                         identical_fraction=(
                             matches / len(loop_packets)
                             if loop_packets
@@ -301,11 +290,11 @@ def encode_bench_payload(
     """The ``BENCH_encode.json`` document for the two cell lists.
 
     The gated aggregates (``min_encode_speedup`` /
-    ``all_bytes_identical``) cover the *exact* cells only; a fast
-    backend's byte-identity fraction and worst code delta are reported
-    per label under ``by_backend``.
+    ``all_bytes_identical``) cover the *exact* cells only; the fast
+    path's byte-identity fraction and worst code delta are reported per
+    label under ``by_backend``.
     """
-    exact = [c for c in encode_cells if c.is_exact]
+    exact = [c for c in encode_cells if c.backend.is_exact]
     hybrid_speedups = [c.speedup for c in exact if c.method == "hybrid"]
     database_speedups = [
         c.speedup for c in synth_cells if c.kind == "database"
@@ -313,7 +302,7 @@ def encode_bench_payload(
     by_backend: Dict[str, Dict[str, object]] = {}
     for c in encode_cells:
         group = by_backend.setdefault(
-            c.backend_label,
+            c.backend.label,
             {
                 "cells": 0,
                 "min_speedup": None,
@@ -345,8 +334,8 @@ def encode_bench_payload(
                 "cr_percent": c.cr_percent,
                 "n_measurements": c.n_measurements,
                 "n_windows": c.n_windows,
-                "backend": c.backend,
-                "precision": c.precision,
+                "backend": "numpy",
+                "precision": c.backend.precision,
                 "loop": {
                     "wall_clock_s": c.loop_s,
                     "windows_per_sec": c.loop_windows_per_sec,

@@ -70,17 +70,7 @@ class SolverBenchCell:
     batched_s: float
     max_abs_alpha_dev: float
     max_prd_dev_percent: float
-    backend: str = "numpy"
-    precision: str = "float64"
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether this cell ran the exact (NumPy/float64) path."""
-        return self.backend == "numpy" and self.precision == "float64"
-
-    @property
-    def backend_label(self) -> str:
-        return f"{self.backend}/{self.precision}"
+    backend: BackendSettings = BackendSettings()
 
     @property
     def loop_windows_per_sec(self) -> float:
@@ -176,8 +166,7 @@ def _bench_cells(
                 batched_s=batched_s,
                 max_abs_alpha_dev=alpha_dev,
                 max_prd_dev_percent=prd_dev,
-                backend=settings.name,
-                precision=settings.precision,
+                backend=settings,
             )
         )
     return cells
@@ -221,16 +210,16 @@ def solver_bench_payload(
     """The ``BENCH_solvers.json`` document for a cell list.
 
     Gated aggregates (``min_speedup`` / ``max_prd_dev_percent``) are
-    computed over the *exact* cells only — a fast backend's measured
+    computed over the *exact* cells only — the fast path's measured
     deviation is reported per label under ``by_backend``, never mixed
     into the bit-identity gate.
     """
-    exact = [c for c in cells if c.is_exact]
+    exact = [c for c in cells if c.backend.is_exact]
     speedups = [c.speedup for c in exact]
     by_backend: Dict[str, Dict[str, object]] = {}
     for c in cells:
         group = by_backend.setdefault(
-            c.backend_label,
+            c.backend.label,
             {"cells": 0, "min_speedup": None, "max_prd_dev_percent": None},
         )
         group["cells"] = int(group["cells"]) + 1
@@ -252,8 +241,8 @@ def solver_bench_payload(
                 "cr_percent": c.cr_percent,
                 "n_measurements": c.n_measurements,
                 "n_windows": c.n_windows,
-                "backend": c.backend,
-                "precision": c.precision,
+                "backend": "numpy",
+                "precision": c.backend.precision,
                 "loop": {
                     "wall_clock_s": c.loop_s,
                     "windows_per_sec": c.loop_windows_per_sec,

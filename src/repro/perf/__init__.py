@@ -6,8 +6,8 @@ temporaries — for the BSBL E-step that is two ``(k, m, n)`` arrays and
 a ``(k, m, m)`` Cholesky factor per EM iteration.  This package removes that churn and makes it measurable:
 
 * :mod:`repro.perf.workspace` — named reusable buffers
-  (:class:`Workspace`) handed out per ``(backend, precision,
-  shape-class)`` by a process-wide :class:`WorkspacePool`, with a
+  (:class:`Workspace`) handed out per ``(precision, shape-class)``
+  by a process-wide :class:`WorkspacePool`, with a
   :class:`NullWorkspace` that allocates fresh on every request so the
   no-reuse baseline runs through the *same* code path (which is what
   makes the bit-identity property suite trivial to state and honest to

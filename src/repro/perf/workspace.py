@@ -15,8 +15,8 @@ because every buffer is the ``out=`` target of a GEMM/ufunc or an
 explicit full-slice assignment.  That is also why reuse is exact: the
 arithmetic never sees the stale contents.
 
-:class:`WorkspacePool` keys workspaces by ``(backend, precision,
-shape-class)`` and guarantees two concurrent leases never alias (each
+:class:`WorkspacePool` keys workspaces by ``(precision, shape-class)``
+and guarantees two concurrent leases never alias (each
 lease pops a workspace from the free list or builds a fresh one, under
 a lock).  :class:`NullWorkspace` implements the same ``buf`` API but
 allocates fresh every call: with workspaces disabled
@@ -37,7 +37,7 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backend import ArrayBackend, BackendSettings, HOST, get_backend
+from repro.backend import BackendSettings, HOST
 
 __backend_seam__ = True
 
@@ -63,22 +63,14 @@ def _size_of(shape: Sequence[int]) -> int:
     return count
 
 
-def _itemsize(arr: Any) -> int:
-    # numpy/cupy expose .itemsize; the torch adapter's tensors expose
-    # element_size() (older torch lacks the .itemsize alias).
-    size = getattr(arr, "itemsize", None)
-    return int(size) if size is not None else int(arr.element_size())
-
-
 class Workspace:
-    """Named reusable buffers on one backend (see module docstring).
+    """Named reusable buffers on the host backend (see module docstring).
 
     Not thread-safe on its own; exclusivity is the pool's job (one lease
     at a time per workspace).
     """
 
-    def __init__(self, backend: Optional[ArrayBackend] = None) -> None:
-        self.backend = HOST if backend is None else backend
+    def __init__(self) -> None:
         # (name, dtype-str) -> (flat backing array, capacity, itemsize)
         self._raw: Dict[Tuple[str, str], Tuple[Any, int, int]] = {}
         #: Bytes that actually hit the allocator (capacity growth only).
@@ -96,7 +88,7 @@ class Workspace:
         retained capacity (so a shrinking active set never reallocates).
         The caller must fully overwrite the view before reading it.
         """
-        xp = self.backend.xp
+        xp = HOST.xp
         if dtype is None:
             dtype = xp.float64
         count = _size_of(shape)
@@ -105,7 +97,7 @@ class Workspace:
         if entry is None or entry[1] < count:
             capacity = max(count, 1)
             raw = xp.empty((capacity,), dtype=dtype)
-            entry = (raw, capacity, _itemsize(raw))
+            entry = (raw, capacity, raw.itemsize)
             self._raw[key] = entry
             self.bytes_allocated += capacity * entry[2]
         raw, _, itemsize = entry
@@ -144,12 +136,12 @@ class NullWorkspace(Workspace):
     """
 
     def buf(self, name: str, shape: Sequence[int], dtype: Any = None) -> Any:
-        xp = self.backend.xp
+        xp = HOST.xp
         if dtype is None:
             dtype = xp.float64
         count = _size_of(shape)
         fresh = xp.empty(tuple(shape), dtype=dtype)
-        nbytes = count * _itemsize(fresh)
+        nbytes = count * fresh.itemsize
         self.bytes_allocated += nbytes
         self.bytes_served += nbytes
         self.buf_calls += 1
@@ -157,7 +149,7 @@ class NullWorkspace(Workspace):
 
 
 class WorkspacePool:
-    """Process-wide workspace pool keyed by ``(backend, precision, class)``.
+    """Process-wide workspace pool keyed by ``(precision, shape class)``.
 
     ``lease`` pops a workspace from the key's free list (or creates one)
     under a lock and returns it on exit, so two in-flight leases can
@@ -168,7 +160,7 @@ class WorkspacePool:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._free: Dict[Tuple[str, str, str], List[Workspace]] = {}
+        self._free: Dict[Tuple[str, str], List[Workspace]] = {}
         self._created = 0
         self._leases = 0
         self._null_leases = 0
@@ -180,7 +172,7 @@ class WorkspacePool:
         self, settings: BackendSettings, shape_class: str
     ) -> Workspace:
         """Pop (or build) a workspace for the key; caller must release."""
-        key = (settings.name, settings.precision, str(shape_class))
+        key = (settings.precision, str(shape_class))
         with self._lock:
             self._leases += 1
             free = self._free.get(key)
@@ -189,13 +181,13 @@ class WorkspacePool:
                 ws.reset_counters()
                 return ws
             self._created += 1
-        return Workspace(get_backend(settings.name))
+        return Workspace()
 
     def release(
         self, settings: BackendSettings, shape_class: str, ws: Workspace
     ) -> None:
         """Return a workspace to the free list, folding its counters in."""
-        key = (settings.name, settings.precision, str(shape_class))
+        key = (settings.precision, str(shape_class))
         with self._lock:
             self._bytes_allocated += ws.bytes_allocated
             self._bytes_served += ws.bytes_served
@@ -288,7 +280,7 @@ def lease_workspace(
     if _ENABLED:
         ws = POOL.acquire(settings, shape_class)
     else:
-        ws = NullWorkspace(get_backend(settings.name))
+        ws = NullWorkspace()
     try:
         yield ws
     finally:

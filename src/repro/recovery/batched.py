@@ -34,15 +34,15 @@ the identical schedule window-by-window, which is both the benchmark
 baseline and the differential-test reference.
 
 **Backend seam:** the engines consume :mod:`repro.backend` (the ``xp``
-namespace protocol) instead of numpy directly; every solver takes an
-optional :class:`~repro.backend.BackendSettings`.  ``None`` or
-NumPy/float64 is the exact path — ``xp`` *is* the numpy module there,
-so results stay bit-identical to the pre-seam code — while float32 (or
-a GPU backend) is the fast path, with its operator stack and ADMM
-factorization pulled per ``(backend, precision)`` from
-:func:`repro.recovery.opcache.operators_for`.  Results always return as
-host float64 :class:`~repro.recovery.result.RecoveryResult` objects, so
-warm-start carries and downstream metrics are backend-agnostic.
+namespace) instead of numpy directly; every solver takes an optional
+:class:`~repro.backend.BackendSettings`.  ``None`` or float64 is the
+exact path — ``xp`` *is* the numpy module, so results stay
+bit-identical to the pre-seam code — while float32 is the fast path,
+with its operator stack and ADMM factorization pulled per precision
+from :func:`repro.recovery.opcache.operators_for`.  Results always
+return as host float64 :class:`~repro.recovery.result.RecoveryResult`
+objects, so warm-start carries and downstream metrics are
+precision-agnostic.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def stack_measurements(
 ) -> Any:
     """Validate and stack window measurements as columns, shape ``(m, k)``.
 
-    The stack lives on the settings' backend in the settings' dtype (the
-    engine dtype policy — float64 on the default exact path).
+    The stack is in the settings' dtype (the engine dtype policy —
+    float64 on the default exact path).
     """
     if len(ys) == 0:
         raise ValueError("need at least one measurement vector")
@@ -155,9 +155,9 @@ def _finalize(
 ) -> List[RecoveryResult]:
     """Per-window :class:`RecoveryResult` objects from the solved stack.
 
-    The device→host boundary: whatever backend/dtype solved the stack,
+    The engine→caller boundary: whatever dtype solved the stack,
     results come back as float64 numpy arrays (coefficients, synthesized
-    windows, norms), so callers never see backend types.
+    windows, norms).
     """
     problem = ops.problem
     xp = ops.backend.xp
@@ -356,7 +356,7 @@ def solve_bpdn_admm_batch(
     """Vectorized :func:`~repro.recovery.admm.solve_bpdn_admm` over a stack.
 
     The ``alpha``-step solves against the *cached* Cholesky factor of
-    ``I + A^T A`` — held per ``(backend, precision)`` by the operator
+    ``I + A^T A`` — held per precision by the operator
     cache — with a multi-column right-hand side, so the whole stack
     costs one factorization ever (per process and precision) and two
     triangular GEMM solves per iteration.
@@ -605,8 +605,7 @@ def solve_bsbl_batch(
     """Vectorized :func:`~repro.recovery.bsbl.solve_bsbl` over a stack.
 
     Each EM iteration is one measurement-space E-step over the active
-    windows, against the operator cache's per-``(backend, precision)``
-    ``A``.
+    windows, against the operator cache's per-precision ``A``.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
@@ -820,7 +819,7 @@ def recover_windows_loop(
 
     Identical warm-start schedule (chunk boundaries included), one scalar
     solve per window.  This is the benchmark baseline and the
-    differential-test oracle — including for the fast-path backends,
+    differential-test oracle — including for the float32 fast path,
     which is why it takes no backend settings: the oracle is always the
     scalar float64 path.  ``fresh_problem=True`` additionally rebuilds
     the composed operator per window, reproducing the pre-cache cost

@@ -24,10 +24,10 @@ factorizations are pure functions of the key).  ``clear()`` exists for
 tests and long-lived processes that change workload shape.
 
 Since the array-backend seam (:mod:`repro.backend`) the cache also holds
-**operator sets**: the backend-resident copy of ``A`` and its ADMM
-factorization for one ``(problem, backend, precision)`` triple, keyed by
-all three — a float32 solve and a float64 solve of the same problem
-never share a factorization.  The exact NumPy/float64 set is a pure
+**operator sets**: the precision-specific copy of ``A`` and its ADMM
+factorization for one ``(problem, precision)`` pair, keyed by both — a
+float32 solve and a float64 solve of the same problem never share a
+factorization.  The exact float64 set is a pure
 delegate to the problem's own lazily cached state, so the bit-identity
 contract is untouched.
 """
@@ -38,7 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.backend import BackendSettings, get_backend
+from repro.backend import BackendSettings, HOST
 from repro.recovery.bsbl import BsblSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import SensingSpec
@@ -87,22 +87,22 @@ class ProblemKey:
 
 
 class OperatorSet:
-    """Backend-resident operator state for one ``(problem, backend, dtype)``.
+    """Operator state for one ``(problem, precision)`` pair.
 
     The batched solvers consume this instead of touching ``problem.a`` /
-    ``problem.admm_factor()`` directly.  On the exact NumPy/float64 path
+    ``problem.admm_factor()`` directly.  On the exact float64 path
     every accessor *delegates* to the problem's own lazily cached state —
     same objects, same numerics, so factor sharing and bit-identity are
     preserved.  On a fast path the set owns a converted copy of ``A`` and
     a factorization of ``I + AᵀA`` computed natively in the target
-    precision on the target backend (a float32 solve uses a float32
+    precision (a float32 solve uses a float32
     Cholesky, not a demoted float64 one).
     """
 
     def __init__(self, problem: CsProblem, settings: BackendSettings) -> None:
         self.problem = problem
         self.settings = settings
-        self.backend = get_backend(settings.name)
+        self.backend = HOST
         self.dtype = self.backend.dtype(settings.precision)
         self._a = None
         self._gram = None
@@ -110,7 +110,7 @@ class OperatorSet:
 
     @property
     def a(self):
-        """The composed operator ``A = Φ Ψ`` on this backend/precision;
+        """The composed operator ``A = Φ Ψ`` at this precision;
         shape ``(m, n)``."""
         if self.settings.is_exact:
             return self.problem.a
@@ -123,11 +123,11 @@ class OperatorSet:
         return self.problem.opnorm_sq()
 
     def gram(self):
-        """The Gram matrix ``AᵀA`` on this backend/precision; ``(n, n)``.
+        """The Gram matrix ``AᵀA`` at this precision; ``(n, n)``.
 
         The batched ADMM factorization is built from it, so it is
         memoized per operator set — exactly once per ``(problem,
-        backend, precision)``.  The exact path delegates to the
+        precision)``.  The exact path delegates to the
         problem's own cached Gram, so the scalar and batched paths share
         one bit-identical matrix.
         """
@@ -139,7 +139,7 @@ class OperatorSet:
         return self._gram
 
     def admm_factor(self):
-        """Cholesky factor of ``I + AᵀA`` in this backend/precision."""
+        """Cholesky factor of ``I + AᵀA`` at this precision."""
         if self.settings.is_exact:
             return self.problem.admm_factor()
         if self._admm_factor is None:
@@ -183,11 +183,11 @@ class ProblemCache:
         self.maxsize = int(maxsize)
         self._problems: "OrderedDict[ProblemKey, CsProblem]" = OrderedDict()
         self._bases: Dict[Tuple[int, str], SynthesisBasis] = {}
-        # Operator sets keyed by (problem identity, backend, precision).
+        # Operator sets keyed by (problem identity, precision).
         # The OperatorSet holds a strong reference to its problem, so the
         # id() stays valid for exactly as long as the entry lives (the
         # same identity-keyed pattern as the runtime's inline link memo).
-        self._operators: "OrderedDict[Tuple[int, str, str], OperatorSet]" = (
+        self._operators: "OrderedDict[Tuple[int, str], OperatorSet]" = (
             OrderedDict()
         )
         self.hits = 0
@@ -230,11 +230,10 @@ class ProblemCache:
     def operators(self, problem: CsProblem, settings: BackendSettings) -> OperatorSet:
         """The cached :class:`OperatorSet` for a problem at given settings.
 
-        Keyed by ``(problem, backend name, precision)`` — all three
-        participate, so switching backend *or* dtype never reuses a
-        factorization computed for another combination.
+        Keyed by ``(problem, precision)``, so switching dtype never
+        reuses a factorization computed at the other precision.
         """
-        okey = (id(problem), settings.name, settings.precision)
+        okey = (id(problem), settings.precision)
         hit = self._operators.get(okey)
         if hit is not None:
             self.operator_hits += 1
@@ -358,10 +357,10 @@ def operators_for(
 ) -> OperatorSet:
     """The (cached) operator set for a problem at given backend settings.
 
-    ``None`` settings mean the exact NumPy/float64 default.  Every call
-    goes through the operator store, so repeated solves at the same
-    ``(backend, precision)`` reuse one converted operator and one
-    factorization, while differing combinations get distinct sets.
+    ``None`` settings mean the exact float64 default.  Every call goes
+    through the operator store, so repeated solves at the same precision
+    reuse one converted operator and one factorization, while the other
+    precision gets a distinct set.
     """
     if settings is None:
         settings = BackendSettings()

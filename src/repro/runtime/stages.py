@@ -141,8 +141,8 @@ def recovery_cache_stats() -> dict:
     """Hit accounting for this process's receiver-side caches.
 
     Combines the operator cache (shared ΦΨ compositions and their
-    factorizations, including the per-``(backend, precision)`` operator
-    sets of the array-backend seam) with the sizes of both link memos;
+    factorizations, including the per-precision operator sets of the
+    array-backend seam) with the sizes of both link memos;
     the solver microbenchmark records this alongside its timings so
     cache effectiveness is visible in ``BENCH_solvers.json``.
     """

@@ -32,12 +32,12 @@ All return the waveform in millivolts; quantization to ADC units happens in
 :mod:`repro.signals.database`.
 
 **Backend seam:** the synthesis kernels consume :mod:`repro.backend`
-(``_xp`` below is the host reference namespace) instead of importing
-numpy/scipy directly; :func:`synthesize_ecg` takes an optional
+(``_xp`` below is the host namespace) instead of importing numpy/scipy
+directly; :func:`synthesize_ecg` takes an optional
 :class:`~repro.backend.BackendSettings` to run the per-sample kernels —
-the Gaussian wave drive and the exponential-integrator IIR — on a fast
-backend/precision.  Randomness stays on the host by policy (the RR
-tachogram and phase draw are identical for every backend), so a fast
+the Gaussian wave drive and the exponential-integrator IIR — at the
+float32 fast precision.  Randomness stays in float64 by policy (the RR
+tachogram and phase draw are identical at both precisions), so a fast
 path differs from the exact one only by kernel rounding, which the
 differential tests bound.  The oracles (:func:`synthesize_loop`,
 :func:`integrate_reference`) are host-float64 by definition.
@@ -187,9 +187,9 @@ def rr_tachogram(
 
     Uses the ECGSYN spectral-synthesis recipe: build the bimodal amplitude
     spectrum, attach uniformly random phases, inverse-FFT, then rescale to
-    the requested RR mean and standard deviation.  Host-side by policy —
-    randomness never runs on a fast backend, so every backend consumes
-    the identical tachogram.
+    the requested RR mean and standard deviation.  Float64 by policy —
+    randomness never runs at the fast precision, so both precisions
+    consume the identical tachogram.
 
     Returns
     -------
@@ -317,9 +317,9 @@ def synthesize_ecg(
         Respiratory baseline coupling of the model's ``z0(t)`` term.
     seed, rng:
         Randomness control; pass ``rng`` to share a generator, else ``seed``.
-        Draws happen on the host for every backend.
+        Draws happen in float64 at either precision.
     settings:
-        Backend/precision for the synthesis kernels (drive + IIR);
+        Precision for the synthesis kernels (drive + IIR);
         ``None`` or NumPy/float64 is the exact, bit-stable path.
 
     Returns
@@ -418,8 +418,8 @@ def synthesize_loop(
     accumulations it unrolls (``cumsum``, the 5-wave bump sum, the
     first-order IIR) match numpy's sequential semantics exactly, and
     numpy's elementwise transcendentals are length-independent.  Kept as
-    the differential-testing oracle — for the fast backends too, which
-    is why it takes no backend settings — and as the throughput baseline
+    the differential-testing oracle — for the fast path too, which is
+    why it takes no backend settings — and as the throughput baseline
     of the synthesis microbenchmark.
     """
     if duration_s <= 0:

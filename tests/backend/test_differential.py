@@ -32,7 +32,7 @@ pytestmark = pytest.mark.property
 
 N = 64
 _BASIS = WaveletBasis(N, "db4")
-FAST32 = BackendSettings(name="numpy", precision="float32")
+FAST32 = BackendSettings(precision="float32")
 
 #: PRD bound (percent) on float32 batched solves vs their float64 twins.
 #: Measured deviations sit near 5e-3 (FISTA — deferred active-set

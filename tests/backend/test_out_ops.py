@@ -1,7 +1,7 @@
-"""The ``out=``-capable hot-loop operations of the backend protocol.
+"""The ``out=``-capable hot-loop operations of the NumPy backend.
 
 The workspace engines route every per-iteration temporary into leased
-buffers through ``matmul``/``solve``/``soft_threshold`` and the
+buffers through ``matmul``/``soft_threshold`` and the
 dense-algebra trio ``gemm``/``gram_cholesky``/``solve_lower`` — these
 tests pin the contract that makes that safe: the ``out=`` form of each
 op is bit-identical to its expression form (signed zeros included),
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.backend import HOST
-from repro.backend.base import ArrayBackend
 
 
 @pytest.fixture
@@ -42,48 +41,6 @@ class TestMatmul:
         HOST.matmul(a, b, out=np.empty((5, 5)))
         assert np.array_equal(a, a0)
         assert np.array_equal(b, b0)
-
-
-class TestSolve:
-    def _spd_system(self, rng, batch=None):
-        n = 6
-        shape = (n, n) if batch is None else (batch, n, n)
-        g = rng.standard_normal(shape)
-        a = g @ np.swapaxes(g, -1, -2) + n * np.eye(n)
-        b = rng.standard_normal((n, 4) if batch is None else (batch, n, 4))
-        return a, b
-
-    def test_out_form_bit_identical_to_reference(self, rng):
-        a, b = self._spd_system(rng)
-        out = np.empty_like(b)
-        result = HOST.solve(a, b, out=out)
-        assert result is out
-        assert np.array_equal(out, np.linalg.solve(a, b))
-
-    def test_batched_out_form(self, rng):
-        a, b = self._spd_system(rng, batch=3)
-        out = np.empty_like(b)
-        HOST.solve(a, b, out=out)
-        assert np.array_equal(out, np.linalg.solve(a, b))
-
-    def test_inputs_untouched(self, rng):
-        a, b = self._spd_system(rng)
-        a0, b0 = a.copy(), b.copy()
-        HOST.solve(a, b, out=np.empty_like(b))
-        assert np.array_equal(a, a0)
-        assert np.array_equal(b, b0)
-
-    def test_base_class_fallback_matches(self, rng):
-        # Force the protocol default (solve + copy) on the numpy
-        # namespace: the path any minimal backend inherits.
-        a, b = self._spd_system(rng)
-        out = np.empty_like(b)
-        result = ArrayBackend.solve(HOST, a, b, out=out)
-        assert result is out
-        assert np.array_equal(out, np.linalg.solve(a, b))
-        assert np.array_equal(
-            ArrayBackend.solve(HOST, a, b), np.linalg.solve(a, b)
-        )
 
 
 class TestSoftThreshold:
@@ -161,11 +118,6 @@ class TestGemm:
         with pytest.raises(ValueError, match="C-contiguous"):
             HOST.gemm(a, a, out=np.empty((3, 3), order="F"))
 
-    def test_base_class_fallback_matches(self, rng):
-        a = rng.standard_normal((5, 3))
-        b = rng.standard_normal((3, 2))
-        assert np.array_equal(ArrayBackend.gemm(HOST, a, b), a @ b)
-
 
 class TestGramCholesky:
     def _stack(self, rng, batch=3, m=7, n=9):
@@ -200,12 +152,6 @@ class TestGramCholesky:
     def test_not_positive_definite_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             HOST.gram_cholesky(np.zeros((1, 3, 2)), -1.0)
-
-    def test_base_class_fallback_matches(self, rng):
-        x = self._stack(rng)
-        out = np.empty((3, 7, 7))
-        assert ArrayBackend.gram_cholesky(HOST, x, 0.5, out=out) is out
-        assert np.allclose(out, self._reference(x, 0.5), rtol=1e-12, atol=1e-13)
 
 
 class TestSolveLower:
@@ -250,9 +196,3 @@ class TestSolveLower:
         out = np.empty((3, 5, 6)).transpose(0, 2, 1)
         with pytest.raises(ValueError, match="C-contiguous"):
             HOST.solve_lower(lower, b, out=out)
-
-    def test_base_class_fallback_matches(self, rng):
-        lower, b = self._system(rng)
-        out = np.empty_like(b)
-        assert ArrayBackend.solve_lower(HOST, lower, b, out=out) is out
-        assert np.array_equal(out, np.linalg.solve(lower, b))

@@ -1,77 +1,8 @@
-"""The backend registry: lookup, memoization, gating, resolution."""
+"""Settings resolution: ``resolve`` bundles the host backend and dtype."""
 
 import numpy as np
-import pytest
 
-from repro.backend import (
-    HOST,
-    ArrayBackend,
-    BackendSettings,
-    BackendUnavailableError,
-    CupyBackend,
-    NumpyBackend,
-    TorchBackend,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve,
-)
-from repro.backend.registry import _INSTANCES, _REGISTRY
-
-
-class TestLookup:
-    def test_builtins_registered(self):
-        assert set(backend_names()) >= {"numpy", "cupy", "torch"}
-        assert backend_names() == tuple(sorted(backend_names()))
-
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_instance_memoized(self):
-        assert get_backend("numpy") is get_backend("numpy")
-        assert get_backend("numpy") is HOST
-
-    def test_unknown_name_is_value_error(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("mlx")
-        # The message lists what IS registered, to tell typo from gap.
-        with pytest.raises(ValueError, match="numpy"):
-            get_backend("mlx")
-
-    def test_unavailable_backend_is_distinct_error(self):
-        """Optional accelerators raise the dedicated error, not ValueError,
-        so callers can tell a typo from a missing library/device."""
-        for name, cls in (("cupy", CupyBackend), ("torch", TorchBackend)):
-            assert cls.available() in (True, False)  # must never raise
-            if not cls.available():
-                with pytest.raises(BackendUnavailableError):
-                    get_backend(name)
-
-
-class TestRegisterBackend:
-    def test_reregister_replaces_and_drops_memo(self):
-        original = _REGISTRY["numpy"]
-        get_backend("numpy")
-        assert "numpy" in _INSTANCES
-        try:
-
-            @register_backend
-            class Stub(NumpyBackend):
-                name = "numpy"
-
-            assert _REGISTRY["numpy"] is Stub
-            assert isinstance(get_backend("numpy"), Stub)
-        finally:
-            register_backend(original)
-            _INSTANCES["numpy"] = HOST  # restore the shared memoized host
-
-    def test_nameless_class_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-
-            @register_backend
-            class Nameless(ArrayBackend):
-                name = ""
+from repro.backend import HOST, BackendSettings, resolve
 
 
 class TestResolve:

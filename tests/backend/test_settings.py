@@ -1,4 +1,4 @@
-"""BackendSettings: validation, exactness flag, hashing."""
+"""BackendSettings: precision validation, exactness flag, hashing."""
 
 import dataclasses
 
@@ -10,20 +10,18 @@ from repro.backend import PRECISIONS, BackendSettings
 class TestDefaults:
     def test_default_is_exact(self):
         settings = BackendSettings()
-        assert settings.name == "numpy"
         assert settings.precision == "float64"
         assert settings.is_exact
 
     def test_label(self):
         assert BackendSettings().label == "numpy/float64"
         assert (
-            BackendSettings(name="numpy", precision="float32").label
+            BackendSettings(precision="float32").label
             == "numpy/float32"
         )
 
     def test_fast_paths_are_not_exact(self):
         assert not BackendSettings(precision="float32").is_exact
-        assert not BackendSettings(name="cupy").is_exact
 
     def test_precisions_constant(self):
         assert PRECISIONS == ("float64", "float32")
@@ -35,16 +33,16 @@ class TestValidation:
             BackendSettings(precision="float16")
 
     def test_bad_name_rejected(self):
-        with pytest.raises(ValueError):
-            BackendSettings(name="")
-        with pytest.raises(ValueError):
-            BackendSettings(name="numpy/float64")
+        # Precision is the only field: a backend name is no longer a choice.
+        assert [f.name for f in dataclasses.fields(BackendSettings)] == ["precision"]
+        with pytest.raises(TypeError):
+            BackendSettings(name="numpy")
 
 
 class TestHashing:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            BackendSettings().name = "torch"
+            BackendSettings().precision = "float32"
 
     def test_hashable_and_equal(self):
         assert BackendSettings() == BackendSettings()

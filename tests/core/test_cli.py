@@ -92,6 +92,55 @@ class TestCompress:
         assert "error" in capsys.readouterr().err
 
 
+class _Captured(Exception):
+    """Stops a subcommand once it has handed over the config it built."""
+
+
+class TestPrecisionOption:
+    """``--precision`` reaches ``FrontEndConfig.backend``; ``--backend`` is gone."""
+
+    @staticmethod
+    def _argv(argv, precision):
+        return argv if precision is None else argv + ["--precision", precision]
+
+    @pytest.mark.parametrize("precision", [None, "float32"])
+    def test_compress_threads_precision(self, monkeypatch, precision):
+        import repro.core.pipeline as pipeline
+
+        seen = {}
+
+        def fake_run_record(record, config, **kwargs):
+            seen["config"] = config
+            raise _Captured
+
+        monkeypatch.setattr(pipeline, "run_record", fake_run_record)
+        with pytest.raises(_Captured):
+            main(self._argv(["compress", "--duration", "2"], precision))
+        assert seen["config"].backend.precision == (precision or "float64")
+
+    @pytest.mark.parametrize("precision", [None, "float32"])
+    def test_stream_threads_precision(self, monkeypatch, precision):
+        import repro.stream.driver as driver
+
+        seen = {}
+
+        def fake_run_stream_scenario(scenario, **kwargs):
+            seen["config"] = scenario.config
+            raise _Captured
+
+        monkeypatch.setattr(driver, "run_stream_scenario", fake_run_stream_scenario)
+        with pytest.raises(_Captured):
+            main(self._argv(["stream", "--patients", "1"], precision))
+        assert seen["config"].backend.precision == (precision or "float64")
+
+    @pytest.mark.parametrize("command", ["compress", "bench", "stream", "loadtest"])
+    def test_backend_flag_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--backend", "numpy"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+
 class TestTradeoffAndPower:
     def test_tradeoff_table(self, capsys):
         rc = main(
