@@ -9,8 +9,8 @@ has three parts:
 
 * :class:`~repro.backend.numpy_backend.NumpyBackend` — the namespace
   ``xp`` (the ``numpy`` module) plus the shims NumPy lacks (Cholesky
-  factor/solve, the in-place BSBL algebra, the first-order IIR,
-  ``packbits``/``bincount``), with :data:`HOST` its one instance;
+  factor/solve, the in-place BSBL algebra, the first-order IIR), with
+  :data:`HOST` its one instance;
 * :class:`~repro.backend.settings.BackendSettings` — the frozen
   precision carried on ``FrontEndConfig`` and threaded through stages,
   sessions and the CLI (``--precision``);

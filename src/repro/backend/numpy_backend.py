@@ -12,7 +12,7 @@ offer in the form the engines need: Cholesky factor/solve in SciPy's
 ``(c, lower)`` form, the ``out=``-capable hot-loop operations, the
 in-place dense-algebra trio of the BSBL E-step (``gemm``,
 ``gram_cholesky``, ``solve_lower``), the first-order IIR recurrence
-behind the ECG exponential integrator, and ``packbits``/``bincount``.
+behind the ECG exponential integrator.
 ``to_numpy`` marks the boundary where results leave the engines for
 the scalar world (``RecoveryResult``, quantizers, metrics).
 
@@ -195,14 +195,6 @@ class NumpyBackend:
         b = np.asarray([gain], dtype=u.dtype)
         a = np.asarray([1.0, -decay], dtype=u.dtype)
         return sps.lfilter(b, a, u)
-
-    def packbits(self, bits: Any) -> np.ndarray:
-        """Bits packed MSB-first into a 1-D uint8 array."""
-        return np.packbits(bits)
-
-    def bincount(self, values: Any, minlength: int = 0) -> np.ndarray:
-        """Occurrence counts, 1-D of length ``max(values)+1`` or ``minlength``."""
-        return np.bincount(values, minlength=minlength)
 
 
 #: The process-wide backend instance every seam module computes on.

@@ -5,18 +5,18 @@ Solves::
     min_alpha ||alpha||_1   subject to   ||A alpha - y||_2 <= sigma
 
 — the paper's Eq. 1 *without* the low-resolution box constraint, i.e. what
-the paper calls "normal CS" / "CS" in Figs. 7-8.  Implemented on the PDHG
-engine with a single L2-ball constraint block.
+the paper calls "normal CS" / "CS" in Figs. 7-8.  :func:`solve_bpdn` runs
+the fused PDHG kernel :func:`repro.recovery.pdhg.solve_eq1` with no box;
+:func:`ball_block` is the same L2-ball constraint as a generic engine block.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
 
-from repro.recovery.pdhg import ConstraintBlock, PdhgSettings, solve_l1_constrained
+from repro.recovery.pdhg import ConstraintBlock, PdhgSettings, solve_eq1
 from repro.recovery.problem import CsProblem
 from repro.recovery.prox import project_l2_ball
 from repro.recovery.result import RecoveryResult
@@ -84,14 +84,6 @@ def solve_bpdn(
         With ``x`` in signal units and ``residual_norm = ||A alpha - y||``.
     """
     prob = problem if problem is not None else CsProblem(phi, basis)
-    y = np.asarray(y, dtype=float)
-    result = solve_l1_constrained(
-        prob.n,
-        [ball_block(prob, y, sigma)],
-        settings=settings,
-        synthesize=prob.basis.synthesize,
-        alpha0=alpha0,
-        solver_name="pdhg-bpdn",
+    return solve_eq1(
+        prob, y, sigma, settings=settings, alpha0=alpha0, solver_name="pdhg-bpdn"
     )
-    true_residual = float(np.linalg.norm(prob.forward(result.alpha) - y))
-    return dataclasses.replace(result, residual_norm=true_residual)

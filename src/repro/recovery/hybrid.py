@@ -7,10 +7,12 @@ Solves::
 
 where ``lower = x_dot`` (the dequantized low-resolution samples) and
 ``upper = x_dot + d`` with ``d`` the low-resolution step — "a strong bound
-... an upper and lower bound for each sample" (paper §II).  The PDHG engine
-takes the L2 ball in measurement space and the box in *signal* space as two
-constraint blocks; since Ψ is orthonormal its block contributes exactly 1
-to the squared operator norm.
+... an upper and lower bound for each sample" (paper §II).  The PDHG
+iteration takes the L2 ball in measurement space and the box in *signal*
+space as two constraint blocks; since Ψ is orthonormal its block
+contributes exactly 1 to the squared operator norm.  :func:`solve_hybrid`
+runs it through the fused kernel :func:`repro.recovery.pdhg.solve_eq1`;
+:func:`box_block` is the same box as a generic engine block.
 
 The paper solved this with the SDPT3 conic toolbox; any convergent convex
 solver reaches the same optimum (DESIGN.md §2).
@@ -18,13 +20,11 @@ solver reaches the same optimum (DESIGN.md §2).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
 
-from repro.recovery.bpdn import ball_block
-from repro.recovery.pdhg import ConstraintBlock, PdhgSettings, solve_l1_constrained
+from repro.recovery.pdhg import ConstraintBlock, PdhgSettings, solve_eq1
 from repro.recovery.problem import CsProblem
 from repro.recovery.prox import project_box
 from repro.recovery.result import RecoveryResult
@@ -102,8 +102,8 @@ def solve_hybrid(
         Pre-built :class:`CsProblem` for operator reuse across windows.
     alpha0:
         Optional explicit warm start (e.g. the previous window's solution
-        in a streaming session).  Defaults to the box-projected midpoint,
-        the historical cold-start choice.
+        in a streaming session).  Defaults to the analysis coefficients
+        of the box midpoint, the historical cold-start choice.
 
     Returns
     -------
@@ -112,24 +112,12 @@ def solve_hybrid(
         (0 when the bounds are met exactly).
     """
     prob = problem if problem is not None else CsProblem(phi, basis)
-    y = np.asarray(y, dtype=float)
-    if alpha0 is None:
-        # Warm start at the box-projected midpoint: a feasible-ish point
-        # that is already consistent with the low-resolution channel.
-        mid = (
-            np.asarray(lower, dtype=float) + np.asarray(upper, dtype=float)
-        ) / 2.0
-        alpha0 = prob.basis.analyze(mid)
-    result = solve_l1_constrained(
-        prob.n,
-        [
-            ball_block(prob, y, sigma),
-            box_block(prob.basis, lower, upper, psi=prob.psi),
-        ],
+    return solve_eq1(
+        prob,
+        y,
+        sigma,
+        (lower, upper),
         settings=settings,
-        synthesize=prob.basis.synthesize,
         alpha0=alpha0,
         solver_name="pdhg-hybrid",
     )
-    true_residual = float(np.linalg.norm(prob.forward(result.alpha) - y))
-    return dataclasses.replace(result, residual_norm=true_residual)

@@ -202,8 +202,8 @@ class ProblemCache:
         """The shared synthesis basis for ``(n, basis_spec)``.
 
         Second-level memo: different compression ratios (different ``m``)
-        are distinct problem keys but share one Ψ, so sweeping the CR
-        axis builds the dense basis exactly once.
+        are distinct problem keys but share one basis, which memoizes its
+        dense Ψ, so sweeping the CR axis builds Ψ exactly once.
         """
         bkey = (int(n), str(basis_spec))
         basis = self._bases.get(bkey)

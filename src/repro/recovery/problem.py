@@ -54,7 +54,6 @@ class CsProblem:
         self.phi = phi
         self.basis = basis
         self._a: Optional[np.ndarray] = None
-        self._psi: Optional[np.ndarray] = None
         self._opnorm_sq: Optional[float] = None
         self._gram: Optional[np.ndarray] = None
         self._admm_factor: Optional[Tuple[np.ndarray, bool]] = None
@@ -72,10 +71,9 @@ class CsProblem:
 
     @property
     def psi(self) -> np.ndarray:
-        """The dense synthesis matrix Ψ, shape ``(n, n)`` (built lazily)."""
-        if self._psi is None:
-            self._psi = self.basis.as_matrix()
-        return self._psi
+        """The dense synthesis matrix Ψ, shape ``(n, n)``: the basis's own
+        memoized (read-only) matrix, so problems sharing a basis share it."""
+        return self.basis.matrix
 
     @property
     def a(self) -> np.ndarray:

@@ -15,15 +15,20 @@ Three bases are provided:
   domain.
 
 Each exposes ``synthesize``/``analyze``/``as_matrix`` plus the window
-length ``n``; :func:`make_basis` builds one from a config string.
+length ``n``; :func:`make_basis` builds one from a config string.  The
+dense Ψ (:attr:`SynthesisBasis.matrix`) and its fastest matvec form
+(:attr:`SynthesisBasis.operators`) are built once per basis instance, so
+every problem sharing a basis shares them.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+import functools
+from typing import Any, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 from scipy.fft import dct as _dct, idct as _idct
 
 from repro.wavelets.dwt import WaveletCoeffs, coeff_slices, max_level, wavedec, waverec
@@ -45,6 +50,11 @@ class SynthesisBasis(abc.ABC):
     orthonormality (``analyze == synthesize^{-1} == synthesize^T``) is a
     contract verified by the test suite for every concrete basis.
     """
+
+    #: Whether every atom is compactly supported, so Ψ is sparse enough
+    #: for a CSR matvec to beat the dense one (db4 at n = 512 keeps 8.4%
+    #: of its entries: ~33 µs against ~89 µs per product).
+    compact_atoms = False
 
     def __init__(self, n: int) -> None:
         if n <= 0:
@@ -81,6 +91,32 @@ class SynthesisBasis(abc.ABC):
         cols = [self.synthesize(eye[:, j]) for j in range(self._n)]
         return np.stack(cols, axis=1)
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense Ψ, shape ``(n, n)``, built once per basis.
+
+        Read-only: every :class:`~repro.recovery.problem.CsProblem` on
+        this basis holds this one array.
+        """
+        psi = self.as_matrix()
+        psi.flags.writeable = False
+        return psi
+
+    @functools.cached_property
+    def operators(self) -> Tuple[Any, Any]:
+        """``(Ψ, Ψᵀ)`` in the form ``@`` applies fastest, built once.
+
+        CSR arrays (exact zeros dropped) when :attr:`compact_atoms`;
+        otherwise the dense :attr:`matrix` and its transpose view, since
+        a dense basis such as the DCT runs ~4x slower through CSR.
+        Either way ``psi @ v`` maps a vector of shape ``(n,)`` to an
+        ndarray of shape ``(n,)``.
+        """
+        psi = self.matrix
+        if self.compact_atoms:
+            return sparse.csr_array(psi), sparse.csr_array(psi.T)
+        return psi, psi.T
+
     def sparsity_profile(self, x: np.ndarray, energy: float = 0.99) -> int:
         """Smallest k such that the k largest coefficients capture
         ``energy`` of the total coefficient energy — a direct measure of
@@ -108,6 +144,8 @@ class WaveletBasis(SynthesisBasis):
     levels:
         Decomposition depth; defaults to the maximum sensible depth.
     """
+
+    compact_atoms = True
 
     def __init__(
         self, n: int, wavelet_name: str = "db4", levels: Optional[int] = None
@@ -176,6 +214,8 @@ class DctBasis(SynthesisBasis):
 
 class IdentityBasis(SynthesisBasis):
     """The trivial basis Ψ = I (signal already sparse in sample domain)."""
+
+    compact_atoms = True
 
     @property
     def name(self) -> str:

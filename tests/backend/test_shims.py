@@ -72,15 +72,3 @@ class TestFirstOrderIir:
         out = HOST.first_order_iir(0.5, 0.9, u)
         assert out.dtype == np.float32
 
-
-class TestIntegerShims:
-    def test_packbits(self):
-        bits = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(HOST.packbits(bits), np.packbits(bits))
-
-    def test_bincount(self):
-        values = np.array([0, 1, 1, 3])
-        assert np.array_equal(
-            HOST.bincount(values, minlength=6),
-            np.bincount(values, minlength=6),
-        )

@@ -91,6 +91,22 @@ class TestConstraintHandling:
             solve_bpdn(phi, basis_128, np.zeros(31), sigma=0.1)
 
 
+class TestReceiverWindows:
+    def test_residual_within_sigma(self, eq1_case):
+        """Real receiver windows (``eq1_case``): a converged solve keeps
+        the residual within σ plus the stopping rule's slack."""
+        window = eq1_case.window
+        prob = window.problem
+        result = solve_bpdn(
+            prob.phi, prob.basis, window.y, window.sigma,
+            settings=window.settings, problem=prob,
+            alpha0=eq1_case.alpha0(box=False),
+        )
+        assert result.converged
+        limit = window.settings.tol * max(np.linalg.norm(result.alpha), 1.0)
+        assert result.residual_norm <= window.sigma + limit
+
+
 class TestProblemReuse:
     def test_shared_problem_matches_fresh(self, rng, basis_128):
         phi = bernoulli_matrix(48, 128, seed=8)

@@ -81,6 +81,25 @@ class TestEq1Solution:
         assert snr_db(x, hybrid.x) == pytest.approx(snr_db(x, normal.x), abs=1.5)
 
 
+class TestReceiverWindows:
+    """Real receiver windows (``eq1_case``): a converged solve meets the
+    stopping rule's certificate — box and ball violations within
+    ``tol * max(||alpha||, 1)``."""
+
+    def test_solution_meets_certificate(self, eq1_case):
+        window = eq1_case.window
+        prob = window.problem
+        result = solve_hybrid(
+            prob.phi, prob.basis, window.y, window.sigma, *window.bounds,
+            settings=window.settings, problem=prob,
+            alpha0=eq1_case.alpha0(box=True),
+        )
+        assert result.converged
+        limit = window.settings.tol * max(np.linalg.norm(result.alpha), 1.0)
+        assert result.info["violation_1"] <= limit
+        assert result.residual_norm <= window.sigma + limit
+
+
 class TestValidation:
     def test_empty_box_rejected(self, basis_128):
         phi = bernoulli_matrix(16, 128, seed=5)

@@ -99,6 +99,16 @@ class TestProblemCache:
         p64 = cache.get(_key(m=64))
         assert p48.basis is p64.basis
 
+    def test_psi_shared_across_crs(self):
+        """The dense Ψ and its matvec form are built once per basis, so
+        every CR of a sweep holds the same objects."""
+        cache = ProblemCache()
+        p48 = cache.get(_key(m=48))
+        p64 = cache.get(_key(m=64))
+        assert p48.psi is p64.psi
+        assert p48.basis.operators is p64.basis.operators
+        assert not p48.psi.flags.writeable
+
     def test_clear(self):
         cache = ProblemCache()
         cache.get(_key())
